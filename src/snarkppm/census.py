@@ -17,6 +17,7 @@ from .cycles import (
     verify_cycle_set,
 )
 from .graph6 import parse_graph6
+from .minors import KMinorUndecidedError, is_planar
 from .multigraph import CubicGraph, GraphError, Multigraph
 from .ppm import (
     K5_MINOR_FREE_ONLY,
@@ -38,6 +39,10 @@ TIMEOUT_ENV = "SNARKPPM_TIMEOUT_MS"
 
 class CensusTimeout(Exception):
     pass
+
+
+class CensusConfigError(ValueError):
+    """A census setting read from the environment is malformed."""
 
 
 @dataclass
@@ -126,31 +131,51 @@ def _girth(g: Multigraph) -> int:
 
 
 def _best_class(
-    g: CubicGraph, perfect_matchings_only: bool, deadline: float | None
-) -> str | None:
-    """Best classification over the PPM stream, stopping at planarizing."""
-    best: str | None = None
+    g: CubicGraph,
+    perfect_matchings_only: bool,
+    deadline: float | None,
+    start: tuple[str | None, PseudoMatching | None] = (None, None),
+) -> tuple[str | None, PseudoMatching | None]:
+    """Best class over the PPM stream, raised from ``start``, and the first
+    PPM that reached it; stops at planarizing."""
+    best, witness = start
     for m in enumerate_ppms(g, perfect_matchings_only=perfect_matchings_only):
         if deadline is not None and time.monotonic() > deadline:
             raise CensusTimeout
-        cls = classify_ppm(g, m)
+        if best == K5_MINOR_FREE_ONLY:
+            # Only a planarizing PPM can do better: skip the K5-minor test.
+            if is_planar(contract(g, m).graph) is None:
+                continue
+            cls = PLANARIZING
+        else:
+            cls = classify_ppm(g, m)
         if best is None or _CLASS_RANK[cls] > _CLASS_RANK[best]:
-            best = cls
+            best, witness = cls, m
         if best == PLANARIZING:
             break
-    return best
+    return best, witness
 
 
-def _best_witness(
-    g: CubicGraph, target: str, perfect_matchings_only: bool
-) -> PseudoMatching | None:
-    for m in enumerate_ppms(g, perfect_matchings_only=perfect_matchings_only):
-        if classify_ppm(g, m) == target:
-            return m
-    return None
+def _timeout_ms() -> int | None:
+    """The per-graph budget from ``SNARKPPM_TIMEOUT_MS``, or None if unset.
+
+    Raises CensusConfigError unless the value is a non-negative integer.
+    """
+    raw = os.environ.get(TIMEOUT_ENV)
+    if not raw:
+        return None
+    if not raw.isdecimal():
+        raise CensusConfigError(
+            f"{TIMEOUT_ENV} must be a non-negative integer (milliseconds),"
+            f" got {raw!r}"
+        )
+    return int(raw)
 
 
-def census_graph(index: int, line: str, mode: str) -> GraphVerdict:
+def census_graph(
+    index: int, line: str, mode: str, timeout: int | None = None
+) -> GraphVerdict:
+    """Verdict for one graph6 line; ``timeout`` is its budget in ms."""
     g6 = line.strip()
     mg = parse_graph6(g6)
     g = CubicGraph(mg, require_simple=True)
@@ -159,40 +184,37 @@ def census_graph(index: int, line: str, mode: str) -> GraphVerdict:
     if not verdict.is_snark:
         return verdict
 
-    timeout_ms = os.environ.get(TIMEOUT_ENV)
-    deadline = (
-        time.monotonic() + int(timeout_ms) / 1000.0 if timeout_ms else None
-    )
+    deadline = time.monotonic() + timeout / 1000.0 if timeout is not None else None
+    best: tuple[str | None, PseudoMatching | None] = (None, None)
     try:
         if mode in ("pm", "both"):
-            verdict.best_pm_class = _best_class(g, True, deadline)
+            best = _best_class(g, True, deadline)
+            verdict.best_pm_class = best[0]
         if mode in ("ppm", "both"):
-            if verdict.best_pm_class == PLANARIZING:
-                verdict.best_ppm_class = PLANARIZING
-            else:
-                verdict.best_ppm_class = _best_class(g, False, deadline)
-    except CensusTimeout:
+            if best[0] != PLANARIZING:
+                best = _best_class(g, False, deadline, best)
+            verdict.best_ppm_class = best[0]
+    except (CensusTimeout, KMinorUndecidedError):
         verdict.undecided = True
         return verdict
-    target = verdict.best_ppm_class or verdict.best_pm_class
-    if target is not None:
-        verdict.witness = _best_witness(g, target, mode == "pm")
+    verdict.witness = best[1]
     return verdict
 
 
 def run_census(text: str, mode: str = "both", workers: int = 1) -> CensusReport:
-    lines = [
-        (i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()
+    timeout = _timeout_ms()
+    jobs = [
+        (i, ln, mode, timeout)
+        for i, ln in enumerate(text.splitlines(), start=1)
+        if ln.strip()
     ]
     if workers > 1:
         from multiprocessing import Pool
 
         with Pool(workers) as pool:
-            verdicts = pool.starmap(
-                census_graph, [(i, ln, mode) for i, ln in lines]
-            )
+            verdicts = pool.starmap(census_graph, jobs)
     else:
-        verdicts = [census_graph(i, ln, mode) for i, ln in lines]
+        verdicts = [census_graph(*job) for job in jobs]
 
     rows: dict[int, CensusRow] = {}
     non_snarks = []

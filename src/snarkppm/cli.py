@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .census import analyze, run_census, write_details
+from .census import CensusConfigError, analyze, run_census, write_details
 from .cycles import CycleSet, find_ccd, cdc_from_ccd
 from .constructions import star_construction
 from .graph6 import Graph6Error, parse_graph6, write_graph6
@@ -57,7 +57,9 @@ def main(argv: list[str] | None = None) -> int:
             return _census(args)
         if args.command == "construct":
             return _construct(args)
-    except (GraphError, Graph6Error, OSError, UnicodeError) as exc:
+    except (
+        GraphError, Graph6Error, CensusConfigError, OSError, UnicodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

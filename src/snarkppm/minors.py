@@ -5,15 +5,20 @@ skeleton of each connected component; parallel edges and loops are spliced
 back into the rotation afterwards, so returned embeddings cover the full
 multigraph. Every returned embedding is validated against Euler's formula.
 
-K5-minor search is an exact branch-and-bound over branch-set assignments
-with reachability pruning. It raises ``KMinorUndecidedError`` if the node
-budget runs out instead of ever returning a silent false.
+K5-minor detection is an exact reduce-and-contract search on the simple
+skeleton as bitmasks: at each node it deletes vertices of degree at most 1,
+suppresses those of degree 2, answers at once below 5 vertices, at Mader's
+bound m >= 3n - 5 and on planar graphs (left-right test per component),
+splits at cut vertices, and otherwise branches on edge contractions,
+remembering the reduced graphs already refuted. It raises
+``KMinorUndecidedError`` if the node budget runs out instead of ever
+returning a silent false.
 """
 
 from __future__ import annotations
 
 from .embedding import Dart, PlanarEmbedding
-from .multigraph import GraphError, Multigraph
+from .multigraph import Multigraph
 
 
 class KMinorUndecidedError(RuntimeError):
@@ -395,137 +400,174 @@ DEFAULT_K5_BUDGET = 20_000_000
 
 
 def has_k5_minor(g: Multigraph, node_budget: int = DEFAULT_K5_BUDGET) -> bool:
-    """True iff five disjoint connected vertex sets exist, pairwise joined.
+    """True iff g has K5 as a minor.
 
-    Exact branch and bound; assignment order is by decreasing degree so the
-    branch sets are seeded from the five highest-degree vertices.
+    Exact search over edge contractions of the simple skeleton, which holds
+    a K5 minor iff some sequence of contractions yields K5 as a subgraph.
+    Each search node first reduces the graph (delete vertices of degree at
+    most 1, suppress those of degree 2), then decides it outright where it
+    can: fewer than 5 vertices, Mader's bound m >= 3n - 5, planarity. A
+    nonplanar graph with cut vertices is split into its blocks, since K5 is
+    2-connected; a nonplanar block is branched on by contracting each edge,
+    fewest common neighbours (hence fewest lost edges) first. Reduced
+    graphs already refuted are remembered. Every node counts against
+    ``node_budget``; running out raises ``KMinorUndecidedError``.
     """
-    n = g.n
-    if n < 5:
-        return False
-    adj = [0] * n
+    adj = {v: 0 for v in range(g.n)}
     for a, b in g.edges:
         if a != b:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-    order = sorted(range(n), key=lambda v: (-bin(adj[v]).count("1"), v))
-    full = (1 << n) - 1
     budget = [node_budget]
+    refuted: set[tuple[tuple[int, int], ...]] = set()
 
-    def reach(seed: int, allowed: int) -> int:
-        grown = seed & allowed
-        while True:
-            nxt = grown
-            mask = grown
-            while mask:
-                low = mask & -mask
-                nxt |= adj[low.bit_length() - 1] & allowed
-                mask ^= low
-            if nxt == grown:
-                return grown
-            grown = nxt
-
-    def connected(mask: int) -> bool:
-        if mask == 0:
-            return False
-        seed = mask & -mask
-        return reach(seed, mask) == mask
-
-    def rec(i: int, sets: list[int], assigned: int) -> bool:
+    # Dicts stay in ascending vertex order throughout (deletions and value
+    # updates keep insertion order), so ``tuple(adj.items())`` identifies
+    # a labelled graph.
+    def search(adj: dict[int, int]) -> bool:
         budget[0] -= 1
         if budget[0] < 0:
             raise KMinorUndecidedError(
                 f"K5-minor search exceeded node budget {node_budget}"
             )
-        if all(sets) and _k5_complete(sets, adj):
-            return True
-        if i == n:
+        _reduce(adj)
+        n = len(adj)
+        if n < 5:
             return False
-        unassigned = full & ~assigned
-        # Feasibility: every pair must still be connectable and adjacent.
-        for a in range(5):
-            if not sets[a]:
-                continue
-            grown = reach(sets[a] & -sets[a], sets[a] | unassigned)
-            if sets[a] & ~grown:
-                return False
-        exps = [reach(s & -s, s | unassigned) if s else (unassigned) for s in sets]
-        for a in range(5):
-            for b in range(a + 1, 5):
-                ea, eb = exps[a], exps[b]
-                if not sets[a] or not sets[b]:
-                    continue
-                if not (_adj_between(ea, eb, adj)):
-                    return False
-        v = order[i]
+        if sum(a.bit_count() for a in adj.values()) >= 2 * (3 * n - 5):
+            return True
+        key = tuple(adj.items())
+        if key in refuted:
+            return False
+        pieces = [
+            block
+            for comp in _components(adj)
+            if not _planar(adj, comp)
+            for block in _blocks(adj, comp)
+        ]
+        if pieces == [_mask(adj)]:
+            found = any(
+                search(_contract(adj, u, v)) for u, v in _edges_by_overlap(adj)
+            )
+        else:
+            found = any(
+                search({v: adj[v] & p for v in adj if p >> v & 1}) for p in pieces
+            )
+        if not found:
+            refuted.add(key)
+        return found
+
+    return search(adj)
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _mask(adj: dict[int, int]) -> int:
+    return sum(1 << v for v in adj)
+
+
+def _reduce(adj: dict[int, int]) -> None:
+    """Delete vertices of degree <= 1 and suppress those of degree 2, in place."""
+    todo = [v for v, a in adj.items() if a.bit_count() <= 2]
+    while todo:
+        v = todo.pop()
+        nbrs = adj.get(v)
+        if nbrs is None or nbrs.bit_count() > 2:
+            continue
+        del adj[v]
         bit = 1 << v
-        used_empty = False
-        for j in range(5):
-            if not sets[j]:
-                if used_empty:
-                    continue  # empty sets are interchangeable
-                used_empty = True
-            sets[j] |= bit
-            if rec(i + 1, sets, assigned | bit):
-                return True
-            sets[j] &= ~bit
-        return rec(i + 1, sets, assigned | bit)
-
-    return rec(0, [0, 0, 0, 0, 0], 0)
+        ends = list(_bits(nbrs))
+        for w in ends:
+            adj[w] &= ~bit
+            todo.append(w)
+        if len(ends) == 2:
+            a, b = ends
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
 
 
-def _adj_between(a: int, b: int, adj: list[int]) -> bool:
-    if a & b:
-        return True
-    mask = a
-    while mask:
-        low = mask & -mask
-        if adj[low.bit_length() - 1] & b:
-            return True
-        mask ^= low
-    return False
+def _components(adj: dict[int, int]) -> list[int]:
+    """Vertex masks of the connected components."""
+    comps = []
+    rest = _mask(adj)
+    while rest:
+        seen = frontier = rest & -rest
+        while frontier:
+            grown = 0
+            for v in _bits(frontier):
+                grown |= adj[v]
+            frontier = grown & ~seen
+            seen |= frontier
+        comps.append(seen)
+        rest &= ~seen
+    return comps
 
 
-def _k5_complete(sets: list[int], adj: list[int]) -> bool:
-    for a in range(5):
-        if not _mask_connected(sets[a], adj):
-            return False
-    for a in range(5):
-        for b in range(a + 1, 5):
-            if sets[a] & sets[b]:
-                return False
-            if not _strict_adj(sets[a], sets[b], adj):
-                return False
-    return True
+def _planar(adj: dict[int, int], comp: int) -> bool:
+    verts = list(_bits(comp))
+    local = {v: i for i, v in enumerate(verts)}
+    rows = [[local[w] for w in _bits(adj[v])] for v in verts]
+    return _lr_planarity(len(verts), rows) is not None
 
 
-def _mask_connected(mask: int, adj: list[int]) -> bool:
-    if mask == 0:
-        return False
-    grown = mask & -mask
-    while True:
-        nxt = grown
-        m = grown
-        while m:
-            low = m & -m
-            nxt |= adj[low.bit_length() - 1] & mask
-            m ^= low
-        if nxt == grown:
-            return grown == mask
-        grown = nxt
+def _blocks(adj: dict[int, int], comp: int) -> list[int]:
+    """Vertex masks of the blocks of component comp that have at least 5
+    vertices (smaller ones cannot hold a K5 minor)."""
+    root = (comp & -comp).bit_length() - 1
+    disc = {root: 0}
+    low = {root: 0}
+    parent = {root: -1}
+    path = [root]
+    frames = [(root, _bits(adj[root]))]
+    blocks = []
+    while frames:
+        v, nbrs = frames[-1]
+        for w in nbrs:
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                parent[w] = v
+                path.append(w)
+                frames.append((w, _bits(adj[w])))
+                break
+            if w != parent[v]:
+                low[v] = min(low[v], disc[w])
+        else:
+            frames.pop()
+            if not frames:
+                break
+            p = frames[-1][0]
+            low[p] = min(low[p], low[v])
+            if low[v] >= disc[p]:
+                block = 1 << p
+                while True:
+                    x = path.pop()
+                    block |= 1 << x
+                    if x == v:
+                        break
+                if block.bit_count() >= 5:
+                    blocks.append(block)
+    return blocks
 
 
-def _strict_adj(a: int, b: int, adj: list[int]) -> bool:
-    mask = a
-    while mask:
-        low = mask & -mask
-        if adj[low.bit_length() - 1] & b:
-            return True
-        mask ^= low
-    return False
+def _edges_by_overlap(adj: dict[int, int]) -> list[tuple[int, int]]:
+    edges = [
+        (u, v) for u, a in adj.items() for v in _bits(a >> (u + 1) << (u + 1))
+    ]
+    edges.sort(key=lambda e: ((adj[e[0]] & adj[e[1]]).bit_count(), e))
+    return edges
 
 
-def assert_planar_implies_no_k5(g: Multigraph) -> None:
-    """Cross-check helper used by the test suites."""
-    if is_planar(g) is not None and has_k5_minor(g):
-        raise GraphError("planar graph reported to contain a K5 minor")
+def _contract(adj: dict[int, int], u: int, v: int) -> dict[int, int]:
+    """Copy of adj with edge uv (u < v) contracted onto u."""
+    bu, bv = 1 << u, 1 << v
+    out = {}
+    for w, a in adj.items():
+        if w != v:
+            out[w] = (a & ~bv) | bu if a & bv else a
+    out[u] = (adj[u] | adj[v]) & ~(bu | bv)
+    return out

@@ -9,9 +9,10 @@ import sys
 import pytest
 
 import named
-from snarkppm import parse_graph6, petersen, write_graph6
+from snarkppm import blanusa_snark, parse_graph6, petersen, ppm, write_graph6
 from snarkppm.census import analyze, run_census, write_details
 from snarkppm.cli import main
+from snarkppm.minors import KMinorUndecidedError
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +82,37 @@ class TestCensus:
         assert not report.complete
         assert report.rows == []
         monkeypatch.delenv("SNARKPPM_TIMEOUT_MS")
+
+    def test_undecided_k5_search_marks_undecided(
+        self, petersen_g6, monkeypatch, tmp_path, capsys
+    ):
+        monkeypatch.setattr(ppm, "has_k5_minor", _raise_undecided)
+        text = write_graph6(named.cube()) + "\n" + petersen_g6 + "\n"
+        report = run_census(text, mode="both")
+        assert not report.complete
+        assert report.rows == []
+        assert report.non_snarks == [1]
+        assert report.verdicts[1].undecided
+        src = tmp_path / "list.g6"
+        src.write_text(text)
+        assert main(["census", "--input", str(src), "--mode", "both"]) == 2
+
+    def test_order_18_row_from_blanusa_snarks(self):
+        # The two Blanusa snarks are the only snarks on 18 vertices.
+        from snarkppm import CubicGraph, classify_ppm, validate_ppm
+
+        lines = [write_graph6(blanusa_snark(2, j).graph.graph) for j in (1, 2)]
+        report = run_census("\n".join(lines) + "\n", mode="both")
+        assert report.complete
+        assert report.to_tsv().splitlines()[1] == "18\t2\t1\t0\t1\t0"
+        for line, verdict in zip(lines, report.verdicts):
+            g = CubicGraph(parse_graph6(line), require_simple=True)
+            assert validate_ppm(g, verdict.witness) is None
+            assert classify_ppm(g, verdict.witness) == verdict.best_ppm_class
+
+
+def _raise_undecided(*args, **kwargs):
+    raise KMinorUndecidedError("forced by the test")
 
 
 class TestAnalyze:
@@ -172,6 +204,18 @@ class TestCli:
         src = tmp_path / "list.g6"
         src.write_text(petersen_g6 + "\n")
         assert main(["census", "--input", str(src), "--mode", "both"]) == 2
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "1.5"])
+    def test_bad_timeout_exit_code(
+        self, tmp_path, capsys, petersen_g6, monkeypatch, value
+    ):
+        monkeypatch.setenv("SNARKPPM_TIMEOUT_MS", value)
+        src = tmp_path / "list.g6"
+        src.write_text(petersen_g6 + "\n")
+        assert main(["census", "--input", str(src), "--mode", "both"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SNARKPPM_TIMEOUT_MS")
+        assert "Traceback" not in err
 
     def test_entry_point_installed(self):
         proc = subprocess.run(

@@ -11,7 +11,9 @@ import oracles
 from snarkppm import (
     GraphError,
     Multigraph,
+    blanusa_snark,
     contract,
+    enumerate_ppms,
     flower_snark,
     has_k5_minor,
     is_planar,
@@ -133,3 +135,24 @@ class TestK5Minor:
         g = Multigraph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
         doubled = Multigraph(5, list(g.edges) + list(g.edges))
         assert has_k5_minor(doubled)
+
+    def test_blanusa_18_quotients_vs_partition_oracle(self):
+        # Every PPM quotient of the two order-18 snarks: 5-9 vertices, most
+        # with parallel edges.
+        checked = 0
+        for j in (1, 2):
+            g = blanusa_snark(2, j).graph
+            for m in enumerate_ppms(g):
+                q = contract(g, m).graph
+                assert has_k5_minor(q) == oracles.brute_has_k5_minor(q), q.edges
+                checked += 1
+        assert checked == 422
+
+    def test_nonplanar_k5_free_13_vertices(self):
+        # V8 and K3,3 sharing vertex 7: nonplanar, and each block is
+        # K5-minor-free, so the whole graph is too.
+        v8 = named.moebius_ladder(4)
+        k33 = [(a + 7, b + 7) for a, b in named.k33().edges]
+        g = Multigraph(13, list(v8.edges) + k33)
+        assert is_planar(g) is None
+        assert not has_k5_minor(g)
