@@ -6,8 +6,8 @@ import os
 import time
 from dataclasses import dataclass
 
-from .coloring import find_3_edge_coloring, is_snark
-from .connectivity import cyclic_edge_connectivity_at_least
+from .coloring import check_snark_input, find_3_edge_coloring, is_snark
+from .connectivity import cyclic_cuts_up_to
 from .cycles import (
     cdc_from_ccd,
     cycle_from_vertices,
@@ -278,16 +278,16 @@ def analyze(g: CubicGraph, m: PseudoMatching | None = None) -> str:
     """Human-readable report: snark status, cyclic connectivity, and, with a
     pseudo-matching, its classification and the CCD/CDC pipeline results."""
     out = [f"vertices: {g.n}, edges: {g.m}"]
-    snark = is_snark(g)
-    out.append(f"snark: {'yes' if snark else 'no'}")
-    level = 0
-    for k in (4, 5, 6):
-        if cyclic_edge_connectivity_at_least(g, k):
-            level = k
-        else:
-            break
-    out.append(f"cyclically {level}-edge-connected (checked up to 6)")
+    check_snark_input(g)
+    # Cuts come out in nondecreasing size, so the first one sets the level.
+    cut = next(cyclic_cuts_up_to(g.graph, 5), None)
+    if cut is None:
+        level = 6
+    else:
+        level = len(cut) if len(cut) >= 4 else 0
     colored = find_3_edge_coloring(g)
+    out.append(f"snark: {'yes' if level >= 4 and colored is None else 'no'}")
+    out.append(f"cyclically {level}-edge-connected (checked up to 6)")
     out.append(f"3-edge-colorable: {'yes' if colored else 'no'}")
     if m is None:
         return "\n".join(out) + "\n"

@@ -152,12 +152,17 @@ def find_3_edge_coloring(g: CubicGraph) -> EdgeColoring | None:
     return None
 
 
-def is_snark(g: CubicGraph) -> bool:
-    """Cyclically 4-edge-connected and not 3-edge-colorable (girth 4 allowed)."""
+def check_snark_input(g: CubicGraph) -> None:
+    """Raise GraphError unless g is simple and connected."""
     if not g.simple:
         raise GraphError("snark test requires a simple cubic graph")
     if not g.graph.is_connected():
         raise GraphError("snark test requires a connected graph")
+
+
+def is_snark(g: CubicGraph) -> bool:
+    """Cyclically 4-edge-connected and not 3-edge-colorable (girth 4 allowed)."""
+    check_snark_input(g)
     if not cyclic_edge_connectivity_at_least(g, 4):
         return False
     return find_3_edge_coloring(g) is None

@@ -372,7 +372,7 @@ def _search_block_clean_star(g: CubicGraph, m: PseudoMatching) -> StarResult:
     """Star whose drawing avoids pocket cuts, if one shows up in a bounded
     deterministic search over edge insertion orders."""
     non_m = [e for e in range(g.graph.m) if e not in m.edge_set(g.graph)]
-    orders: list[list[int]] = [list(non_m)]
+    orders: list[list[int]] = []
     for shift in range(len(non_m)):
         orders.append(non_m[shift:] + non_m[:shift])
         orders.append(list(reversed(non_m[shift:] + non_m[:shift])))

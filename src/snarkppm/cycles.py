@@ -17,6 +17,7 @@ from .coloring import EdgeColoring, coloring_is_proper
 from .eulerian import Association, associate
 from .multigraph import CubicGraph, GraphError, Multigraph
 from .ppm import (
+    Component,
     ContractedGraph,
     K2Component,
     PseudoMatching,
@@ -25,6 +26,7 @@ from .ppm import (
     complement_cycles,
     contract,
     ppm_from_dominating_cycle,
+    quotient_components,
 )
 
 
@@ -146,15 +148,14 @@ def find_dominating_cycles(
 def _all_cycles(g: Multigraph) -> Iterator[Cycle]:
     """All cycles of length >= 2, least vertex first, each exactly once."""
     for s in range(g.n):
-        yield from _cycles_from(g, s, set(), None)
+        yield from _cycles_from(g, s, set(), False)
 
 
 def _cycles_from(
-    g: Multigraph, s: int, required: set[int], below_ok: bool | None
+    g: Multigraph, s: int, required: set[int], below_ok: bool
 ) -> Iterator[Cycle]:
     """Cycles through s covering ``required``; vertices < s excluded unless
     below_ok (used by cycles_containing, where s = min(required))."""
-    allow_below = below_ok if below_ok is not None else False
     path = [s]
     on_path = {s}
     edges_used: list[int] = []
@@ -193,7 +194,7 @@ def _cycles_from(
                 if required <= on_path:
                     yield Cycle(tuple(path), tuple(edges_used + [e]))
                 continue
-            if w in on_path or (w < s and not allow_below):
+            if w in on_path or (w < s and not below_ok):
                 continue
             path.append(w)
             on_path.add(w)
@@ -337,18 +338,10 @@ def cdc_from_ccd(g: CubicGraph, m: PseudoMatching, ccd: CycleSet) -> CycleSet:
         raise GraphError(f"not a compatible cycle decomposition: {bad.message}")
 
     mg = g.graph
-    comp_info: dict[int, tuple[str, tuple]] = {}
-    for comp in m.components:
-        if isinstance(comp, K2Component):
-            a, b = mg.edges[comp.edge]
-            comp_info[cg.component_of[a]] = ("k2", (a, b, comp.edge))
-        else:
-            legs = {mg.other_end(e, comp.center): e for e in comp.leaf_edges}
-            comp_info[cg.component_of[comp.center]] = ("claw", (comp.center, legs))
-
+    comps = quotient_components(mg, m, cg)
     lifted: list[Cycle] = []
     for cyc in ccd.cycles:
-        lifted.append(_lift_cycle(mg, cg, comp_info, cyc))
+        lifted.append(_lift_cycle(mg, cg, comps, cyc))
     for cv in complement_cycles(g, m):
         lifted.append(cycle_from_vertices(mg, cv))
     out = CycleSet(tuple(lifted), CDC)
@@ -361,21 +354,22 @@ def cdc_from_ccd(g: CubicGraph, m: PseudoMatching, ccd: CycleSet) -> CycleSet:
 def _lift_cycle(
     mg: Multigraph,
     cg: ContractedGraph,
-    comp_info: dict[int, tuple[str, tuple]],
+    comps: dict[int, Component],
     cyc: Cycle,
 ) -> Cycle:
+    """Lift one CCD cycle; a claw is crossed through its center, whose edge
+    to each leaf is the graph's only edge between the two."""
     if len(cyc) == 1:
         # A quotient loop: its origin edge joins two vertices of one
         # component; close it up through the component's inside.
         o = cg.edge_origin[cyc.edges[0]]
         x, y = mg.edges[o]
-        kind, data = comp_info[cyc.vertices[0]]
-        if kind == "k2":
-            _a, _b, e = data
-            lift = Cycle((x, y), (o, e))
+        comp = comps[cyc.vertices[0]]
+        if isinstance(comp, K2Component):
+            lift = Cycle((x, y), (o, comp.edge))
         else:
-            center, legs = data
-            lift = Cycle((x, y, center), (o, legs[y], legs[x]))
+            c = comp.center
+            lift = Cycle((x, y, c), (o, mg.edge_between(y, c), mg.edge_between(c, x)))
         check_cycle(mg, lift)
         return lift
     verts: list[int] = []
@@ -389,15 +383,14 @@ def _lift_cycle(
         w_out = _endpoint_in(mg, o_out, cg, q, prefer_not=w_in)
         if w_in == w_out:
             raise GraphError("lift hit a transition pair; compatibility broken")
-        kind, data = comp_info[q]
-        if kind == "k2":
-            _a, _b, e = data
+        comp = comps[q]
+        if isinstance(comp, K2Component):
             verts.extend([w_in, w_out])
-            edges.extend([e, o_out])
+            edges.extend([comp.edge, o_out])
         else:
-            center, legs = data
-            verts.extend([w_in, center, w_out])
-            edges.extend([legs[w_in], legs[w_out], o_out])
+            c = comp.center
+            verts.extend([w_in, c, w_out])
+            edges.extend([mg.edge_between(w_in, c), mg.edge_between(c, w_out), o_out])
     lift = Cycle(tuple(verts), tuple(edges))
     check_cycle(mg, lift)
     return lift

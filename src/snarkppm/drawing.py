@@ -13,18 +13,18 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .embedding import PlanarEmbedding
+from .embedding import Dart, PlanarEmbedding, trace_faces
 from .minors import is_planar
 from .multigraph import CubicGraph, GraphError, Multigraph
 from .ppm import (
+    Component,
     ContractedGraph,
     K2Component,
     PseudoMatching,
     contract,
+    quotient_components,
     validate_ppm,
 )
-
-Dart = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,8 @@ def _component_local(g: Multigraph, comp_of: dict[int, int], e: int, f: int) -> 
 class _Planarizer:
     """Planar rotation system under edge insertion with crossings.
 
-    Edges carry owner tokens; subdividing keeps the owner. Face tracing uses
-    the convention succ(d) = rotation successor of twin(d) at head(d).
+    Edges carry owner tokens; subdividing keeps the owner. Faces and the
+    planarity check come from ``embedding``.
     """
 
     def __init__(self) -> None:
@@ -148,71 +148,11 @@ class _Planarizer:
     def tail(self, d: Dart) -> int:
         return self.edges[d[0]][d[1]]
 
-    def head(self, d: Dart) -> int:
-        return self.edges[d[0]][1 - d[1]]
-
-    def _succ(self, d: Dart) -> Dart:
-        twin = (d[0], 1 - d[1])
-        ring = self.rot[self.head(d)]
-        return ring[(ring.index(twin) + 1) % len(ring)]
-
-    def face_walk(self, d0: Dart) -> list[Dart]:
-        walk = [d0]
-        d = self._succ(d0)
-        while d != d0:
-            walk.append(d)
-            d = self._succ(d)
-        return walk
-
     def faces(self) -> tuple[list[list[Dart]], dict[Dart, int]]:
-        face_of: dict[Dart, int] = {}
-        walks: list[list[Dart]] = []
-        for v in range(self.nv):
-            for dart in self.rot[v]:
-                if dart in face_of:
-                    continue
-                fid = len(walks)
-                walk = self.face_walk(dart)
-                for d in walk:
-                    face_of[d] = fid
-                walks.append(walk)
-        return walks, face_of
+        return trace_faces(self.edges, self.rot)
 
     def verify_planar(self) -> None:
-        comp = self._components()
-        walks, _ = self.faces()
-        fcount: dict[int, int] = {}
-        for walk in walks:
-            c = comp[self.tail(walk[0])]
-            fcount[c] = fcount.get(c, 0) + 1
-        vcount: dict[int, int] = {}
-        ecount: dict[int, int] = {}
-        for v in range(self.nv):
-            vcount[comp[v]] = vcount.get(comp[v], 0) + 1
-        for e, (a, _b) in enumerate(self.edges):
-            if self.alive[e]:
-                ecount[comp[a]] = ecount.get(comp[a], 0) + 1
-        for c, ec in ecount.items():
-            if vcount[c] - ec + fcount.get(c, 0) != 2:
-                raise GraphError("planarizer state is not planar")
-
-    def _components(self) -> dict[int, int]:
-        comp: dict[int, int] = {}
-        next_id = 0
-        for s in range(self.nv):
-            if s in comp:
-                continue
-            comp[s] = next_id
-            frontier = [s]
-            while frontier:
-                v = frontier.pop()
-                for dart in self.rot[v]:
-                    w = self.head(dart)
-                    if w not in comp:
-                        comp[w] = next_id
-                        frontier.append(w)
-            next_id += 1
-        return comp
+        self.live_graph()[2].verify_euler()
 
     # -- modification --------------------------------------------------------
 
@@ -245,14 +185,6 @@ class _Planarizer:
         rv = self.rot[v]
         rv.insert(rv.index(db), (e, 1))
         return e
-
-    def connect(self, u: int, v: int, owner: object) -> int:
-        """Insert edge (u, v) inside some face containing both."""
-        for da in list(self.rot[u]):
-            for d in self.face_walk(da):
-                if self.tail(d) == v:
-                    return self.connect_darts(da, d, owner)
-        raise GraphError(f"vertices {u} and {v} share no face")
 
     def _find_route(
         self, u: int, v: int, can_cross: Callable[[object], bool]
@@ -455,7 +387,10 @@ def _routed(pl: _Planarizer, a, b, owner, can_cross):
         pl.connect_darts(cur_dart, same_side, owner)
         crossings.append((crossed_owner, dummy))
         cur_dart = beyond
-    for d in pl.face_walk(cur_dart):
+    walks, face_of = pl.faces()
+    walk = walks[face_of[cur_dart]]
+    i = walk.index(cur_dart)
+    for d in walk[i:] + walk[:i]:
         if pl.tail(d) == b:
             pl.connect_darts(cur_dart, d, owner)
             return crossings
@@ -516,12 +451,12 @@ def seek_planarizing_drawing(g: CubicGraph, m: PseudoMatching) -> Drawing | None
 
     crossed_pairs: set[frozenset[int]] = set()
     patches: list[_Patch] = []
+    comps = quotient_components(mg, m, cg)
     for q in range(cg.graph.n):
-        comp = _component_of_quotient(mg, m, cg, q)
         darts = [(nonloop[e], s) for e, s in sk_emb.rotation[q]]
         patches.append(
             _build_patch(
-                mg, cg, q, darts, comp, internal.get(q, []), crossed_pairs
+                mg, cg, q, darts, comps[q], internal.get(q, []), crossed_pairs
             )
         )
     drawing = _glue_patches(g, m, cg, patches)
@@ -539,23 +474,6 @@ class _Patch:
     stub_of_dart: dict[Dart, int]  # quotient dart -> its b-node local id
     crossings: list[tuple[int, int]]  # original edge pairs, in order
     crossing_dummies: list[int]  # local dummy ids
-
-
-def _component_of_quotient(
-    mg: Multigraph, m: PseudoMatching, cg: ContractedGraph, q: int
-) -> tuple[str, tuple]:
-    for comp in m.components:
-        if isinstance(comp, K2Component):
-            a, b = mg.edges[comp.edge]
-            if cg.component_of[a] == q:
-                return ("k2", (a, b, comp.edge))
-        else:
-            if cg.component_of[comp.center] == q:
-                leaves = tuple(
-                    mg.other_end(e, comp.center) for e in comp.leaf_edges
-                )
-                return ("claw", (comp.center, leaves, comp.leaf_edges))
-    raise GraphError(f"no component for quotient vertex {q}")
 
 
 def _leg_target(mg: Multigraph, cg: ContractedGraph, dart: Dart) -> int:
@@ -579,7 +497,7 @@ def _build_patch(
     cg: ContractedGraph,
     q: int,
     darts: list[Dart],
-    comp: tuple[str, tuple],
+    comp: Component,
     internal_origins: list[int],
     crossed_pairs: set[frozenset[int]],
 ) -> _Patch:
@@ -613,7 +531,7 @@ def _try_patch(
     q: int,
     darts: list[Dart],
     route_order: list[int],
-    comp: tuple[str, tuple],
+    comp: Component,
     internal_origins: list[int],
     crossed_pairs: set[frozenset[int]],
 ) -> _Patch:
@@ -626,16 +544,15 @@ def _try_patch(
         pl.rot[i] = [(b_edges[i], 0), (b_edges[(i - 1) % k2], 1)]
 
     local_of: dict[int, int] = {}
-    kind, data = comp
-    if kind == "k2":
-        a, b, me = data
+    if isinstance(comp, K2Component):
+        a, b = mg.edges[comp.edge]
         local_of[a] = pl.new_vertex()
         local_of[b] = pl.new_vertex()
-        em = pl.seed_edge(local_of[a], local_of[b], ("M", me))
+        em = pl.seed_edge(local_of[a], local_of[b], ("M", comp.edge))
         pl.rot[local_of[a]] = [(em, 0)]
         pl.rot[local_of[b]] = [(em, 1)]
     else:
-        center, leaves, leaf_edges = data
+        center = comp.center
         local_of[center] = pl.new_vertex()
         # Claw arms take the order the interior first meets each leaf.
         order: list[int] = []
@@ -643,14 +560,15 @@ def _try_patch(
             t = _leg_target(mg, cg, dart)
             if t not in order:
                 order.append(t)
-        for leaf in leaves:
+        for e in comp.leaf_edges:
+            leaf = mg.other_end(e, center)
             if leaf not in order:
                 order.append(leaf)
         ring = []
         for leaf in order:
             local_of[leaf] = pl.new_vertex()
             em = pl.seed_edge(
-                local_of[center], local_of[leaf], ("M", leaf_edges[leaves.index(leaf)])
+                local_of[center], local_of[leaf], ("M", mg.edge_between(center, leaf))
             )
             ring.append((em, 0))
             pl.rot[local_of[leaf]] = [(em, 1)]
@@ -798,7 +716,6 @@ def _glue_patches(
             crossings.append(pair)
             dummies.append(global_of[pi][dummy])
 
-    pl.verify_planar()
     return _finish_drawing(g, m, pl, crossings, dummies)
 
 

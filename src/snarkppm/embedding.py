@@ -8,6 +8,7 @@ A dart is ``(edge_id, end)`` with ``end`` in {0, 1}: dart ``(e, 0)`` leaves
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .multigraph import GraphError, Multigraph
 
@@ -19,13 +20,39 @@ def dart_tail(g: Multigraph, d: Dart) -> int:
     return g.edges[e][s]
 
 
-def dart_head(g: Multigraph, d: Dart) -> int:
-    e, s = d
-    return g.edges[e][1 - s]
-
-
 def twin(d: Dart) -> Dart:
     return (d[0], 1 - d[1])
+
+
+def trace_faces(
+    edges: Sequence[tuple[int, int]], rotation: dict[int, list[Dart]]
+) -> tuple[list[list[Dart]], dict[Dart, int]]:
+    """Face walks of a rotation system and the face index of every dart.
+
+    The successor of dart d is the dart after twin(d) in the rotation at
+    head(d). Walks start at the first unvisited dart in vertex order, then
+    rotation order, so face indices are deterministic.
+    """
+    after: dict[Dart, Dart] = {}  # next dart clockwise around the same tail
+    for v, darts in rotation.items():
+        for i, d in enumerate(darts):
+            if edges[d[0]][d[1]] != v:
+                raise GraphError(f"dart {d} listed at vertex {v} but has tail elsewhere")
+            after[d] = darts[(i + 1) % len(darts)]
+    walks: list[list[Dart]] = []
+    face_of: dict[Dart, int] = {}
+    for v in sorted(rotation):
+        for start in rotation[v]:
+            if start in face_of:
+                continue
+            walk = []
+            d = start
+            while d not in face_of:
+                face_of[d] = len(walks)
+                walk.append(d)
+                d = after[twin(d)]
+            walks.append(walk)
+    return walks, face_of
 
 
 @dataclass
@@ -36,21 +63,8 @@ class PlanarEmbedding:
     rotation: dict[int, list[Dart]]
 
     def faces(self) -> list[list[Dart]]:
-        """Orbits of the face-successor permutation (one walk per face)."""
-        succ = self._face_successor()
-        seen: set[Dart] = set()
-        out: list[list[Dart]] = []
-        for start in sorted(succ):
-            if start in seen:
-                continue
-            walk = []
-            d = start
-            while d not in seen:
-                seen.add(d)
-                walk.append(d)
-                d = succ[d]
-            out.append(walk)
-        return out
+        """One walk per face (see ``trace_faces``)."""
+        return trace_faces(self.graph.edges, self.rotation)[0]
 
     def face_count(self) -> int:
         return len(self.faces())
@@ -79,22 +93,6 @@ class PlanarEmbedding:
                     f"embedding violates Euler formula on component {ci}: "
                     f"v={v} e={e} f={f}"
                 )
-
-    def _face_successor(self) -> dict[Dart, Dart]:
-        g = self.graph
-        pos: dict[Dart, tuple[int, int]] = {}
-        for v, darts in self.rotation.items():
-            for i, d in enumerate(darts):
-                if dart_tail(g, d) != v:
-                    raise GraphError(f"dart {d} listed at vertex {v} but has tail elsewhere")
-                pos[d] = (v, i)
-        succ: dict[Dart, Dart] = {}
-        for d in pos:
-            t = twin(d)
-            v, i = pos[t]
-            ring = self.rotation[v]
-            succ[d] = ring[(i + 1) % len(ring)]
-        return succ
 
     def _verify_rotation_complete(self) -> None:
         g = self.graph

@@ -161,9 +161,6 @@ class Multigraph:
             self.n, [e for i, e in enumerate(self.edges) if i not in dropset]
         )
 
-    def with_edges(self, extra: Iterable[tuple[int, int]]) -> "Multigraph":
-        return Multigraph(self.n, list(self.edges) + list(extra))
-
     def relabeled(self, perm: Sequence[int]) -> "Multigraph":
         """Apply vertex permutation: new label of v is perm[v]."""
         return Multigraph(self.n, [(perm[a], perm[b]) for a, b in self.edges])

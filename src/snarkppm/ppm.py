@@ -236,9 +236,6 @@ class TransitionSystem:
     def pairs(self, v: int) -> tuple[frozenset[int], ...]:
         return self.pairs_at[v]
 
-    def all_pairs(self) -> list[frozenset[int]]:
-        return [p for at in self.pairs_at for p in at]
-
 
 @dataclass(frozen=True)
 class ContractedGraph:
@@ -302,6 +299,14 @@ def contract(g: CubicGraph, m: PseudoMatching) -> ContractedGraph:
         tuple(component_of),
         tuple(edge_origin),
     )
+
+
+def quotient_components(
+    g: Multigraph, m: PseudoMatching, cg: ContractedGraph
+) -> dict[int, Component]:
+    """The component of m behind each quotient vertex of cg = contract(g, m)."""
+    verts = m.component_vertices(g)
+    return {cg.component_of[vs[0]]: comp for comp, vs in zip(m.components, verts)}
 
 
 PLANARIZING = "planarizing"
@@ -399,27 +404,31 @@ def write_ppm(g: Multigraph, m: PseudoMatching) -> str:
 
 
 def parse_ppm(g: Multigraph, text: str) -> PseudoMatching:
+    """Read the sidecar format; a malformed line raises GraphError naming it."""
     parts: list[Component] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        fields = line.split()
-        if fields[0] == "K2" and len(fields) == 3:
-            a, b = int(fields[1]), int(fields[2])
-            e = g.edge_between(a, b)
-            if e is None:
-                raise GraphError(f"ppm line {lineno}: no edge {a}-{b}")
-            parts.append(K2Component(e))
-        elif fields[0] == "CLAW" and len(fields) == 5:
-            c = int(fields[1])
-            leaf_edges = []
-            for leaf in fields[2:]:
-                e = g.edge_between(c, int(leaf))
-                if e is None:
-                    raise GraphError(f"ppm line {lineno}: no edge {c}-{leaf}")
-                leaf_edges.append(e)
-            parts.append(ClawComponent(c, tuple(sorted(leaf_edges))))
-        else:
+        kind, *fields = line.split()
+        if (kind, len(fields)) not in (("K2", 2), ("CLAW", 4)):
             raise GraphError(f"ppm line {lineno}: unrecognized component {line!r}")
+        try:
+            ids = [int(f) for f in fields]
+        except ValueError:
+            raise GraphError(f"ppm line {lineno}: non-integer vertex in {line!r}") from None
+        for v in ids:
+            if not 0 <= v < g.n:
+                raise GraphError(f"ppm line {lineno}: vertex {v} outside 0..{g.n - 1}")
+        first, *others = ids
+        edges = []
+        for v in others:
+            e = g.edge_between(first, v)
+            if e is None:
+                raise GraphError(f"ppm line {lineno}: no edge {first}-{v}")
+            edges.append(e)
+        if kind == "K2":
+            parts.append(K2Component(edges[0]))
+        else:
+            parts.append(ClawComponent(first, tuple(sorted(edges))))
     return PseudoMatching(tuple(parts))

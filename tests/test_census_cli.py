@@ -199,6 +199,19 @@ class TestCli:
         bad.write_text("not graph6 at all\xff\n")
         assert main(["analyze", "--graph", str(bad)]) == 1
 
+    @pytest.mark.parametrize(
+        "command, flag", [("analyze", "--graph"), ("construct", "--input")]
+    )
+    @pytest.mark.parametrize("line", ["K2 x 1", "K2 200 0", "CLAW 999 1 2 3"])
+    def test_bad_ppm_exit_code(self, tmp_path, capsys, command, flag, line):
+        prefix = str(tmp_path / "pet")
+        main(["gen", "--family", "petersen", "--out", prefix])
+        capsys.readouterr()
+        bad = tmp_path / "bad.ppm"
+        bad.write_text(line + "\n")
+        assert main([command, flag, prefix + ".g6", "--ppm", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: ppm line 1: ")
+
     def test_incomplete_census_exit_code(self, tmp_path, capsys, petersen_g6, monkeypatch):
         monkeypatch.setenv("SNARKPPM_TIMEOUT_MS", "0")
         src = tmp_path / "list.g6"

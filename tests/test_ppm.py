@@ -242,6 +242,21 @@ class TestSidecar:
         with pytest.raises(GraphError):
             parse_ppm(named.k4(), "TRIANGLE 0 1 2\n")
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("K2 x 1", "non-integer vertex"),
+            ("K2 200 0", "vertex 200 outside 0..9"),
+            ("CLAW 999 1 2 3", "vertex 999 outside 0..9"),
+            ("K2 -1 0", "vertex -1 outside 0..9"),
+            ("K2 0 2", "no edge 0-2"),
+        ],
+    )
+    def test_parse_rejects_bad_vertices(self, text, reason):
+        g = petersen().graph.graph
+        with pytest.raises(GraphError, match=f"ppm line 2: {reason}"):
+            parse_ppm(g, "K2 0 1\n" + text + "\n")
+
 
 def _same_cycle(found: list[int], expect: list[int]) -> bool:
     if len(found) != len(expect):
