@@ -10,7 +10,6 @@ from .coloring import check_snark_input, find_3_edge_coloring, is_snark
 from .connectivity import cyclic_cuts_up_to
 from .cycles import (
     cdc_from_ccd,
-    cycle_from_vertices,
     find_ccd,
     is_dominating,
     is_stable,
@@ -177,10 +176,13 @@ def census_graph(
 ) -> GraphVerdict:
     """Verdict for one graph6 line; ``timeout`` is its budget in ms."""
     g6 = line.strip()
-    mg = parse_graph6(g6)
-    g = CubicGraph(mg, require_simple=True)
-    verdict = GraphVerdict(index, g6, mg.n, False, _girth(mg))
-    verdict.is_snark = is_snark(g)
+    try:
+        mg = parse_graph6(g6)
+        g = CubicGraph(mg, require_simple=True)
+        snark = is_snark(g)
+    except GraphError as exc:
+        raise type(exc)(f"line {index}: {exc}") from None
+    verdict = GraphVerdict(index, g6, mg.n, snark, _girth(mg))
     if not verdict.is_snark:
         return verdict
 
@@ -306,12 +308,10 @@ def analyze(g: CubicGraph, m: PseudoMatching | None = None) -> str:
         "complement cycles: "
         + ", ".join(f"length {len(c)}" for c in cycles)
     )
-    for cv in cycles:
-        cyc = cycle_from_vertices(g.graph, cv)
-        dom = is_dominating(g, set(cv))
-        if dom:
+    for cyc in cycles:
+        if is_dominating(g, set(cyc.vertices)):
             out.append(
-                f"  cycle of length {len(cv)} is dominating;"
+                f"  cycle of length {len(cyc)} is dominating;"
                 f" stable: {'yes' if is_stable(g, cyc) else 'no'}"
             )
     cg = contract(g, m)

@@ -16,22 +16,26 @@ from .coloring import is_snark
 from .connectivity import cyclic_cuts_up_to, cyclic_edge_connectivity_at_least
 from .cycles import CDC, Cycle, CycleSet, cycle_from_vertices, verify_cycle_set
 from .drawing import Drawing, draw_m_avoiding
+from .families import B0
 from .multigraph import CubicGraph, GraphError, Multigraph
 from .ppm import (
-    ClawComponent,
     Component,
     K2Component,
     PLANARIZING,
     PseudoMatching,
+    claw_component,
     classify_ppm,
+    k2_component,
     validate_ppm,
 )
 
-# B0 block wiring, local indices 0..7; attachments: x-x0, x'''-x7, x'-x2, x''-x5.
-_BLOCK_EDGES = (
-    (0, 1), (1, 2), (5, 6), (6, 7), (0, 3), (3, 5), (1, 6), (2, 4), (4, 7), (3, 4),
-)
-_ATTACH = {"x": 0, "x'''": 7, "x'": 2, "x''": 5}
+# The block is B0; x, x''', x', x'' attach at its a, a', b', b.
+_ATTACH = {
+    "x": B0.attach_a,
+    "x'''": B0.attach_a_prime,
+    "x'": B0.attach_b_prime,
+    "x''": B0.attach_b,
+}
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,7 @@ def _replace_one(
         raise GraphError("crossing involves a pseudo-matching edge")
     base = graph.n
     keep = [graph.edges[e] for e in range(graph.m) if e not in (ea, eb)]
-    block = [(base + p, base + q) for p, q in _BLOCK_EDGES]
+    block = [(base + p, base + q) for p, q in B0.internal_edges]
     attach = [
         (x, base + _ATTACH["x"]),
         (xppp, base + _ATTACH["x'''"]),
@@ -73,13 +77,13 @@ def _replace_one(
     for comp in m.components:
         if isinstance(comp, K2Component):
             p, q = graph.edges[comp.edge]
-            parts.append(_k2(enlarged, p, q))
+            parts.append(k2_component(enlarged, p, q))
         else:
             leaves = [graph.other_end(e, comp.center) for e in comp.leaf_edges]
-            parts.append(_claw(enlarged, comp.center, leaves))
-    parts.append(_claw(enlarged, base + 1, [base + 0, base + 2, base + 6]))
-    parts.append(_k2(enlarged, base + 3, base + 5))
-    parts.append(_k2(enlarged, base + 4, base + 7))
+            parts.append(claw_component(enlarged, comp.center, leaves))
+    parts.append(claw_component(enlarged, base + 1, [base + 0, base + 2, base + 6]))
+    parts.append(k2_component(enlarged, base + 3, base + 5))
+    parts.append(k2_component(enlarged, base + 4, base + 7))
     record = CrossingReplacementRecord(
         graph,
         enlarged,
@@ -89,23 +93,6 @@ def _replace_one(
         {label: {"x": x, "x'''": xppp, "x'": xp, "x''": xpp}[label] for label in _ATTACH},
     )
     return enlarged, PseudoMatching(tuple(parts)), record
-
-
-def _k2(g: Multigraph, a: int, b: int) -> K2Component:
-    e = g.edge_between(a, b)
-    if e is None:
-        raise GraphError(f"no edge {a}-{b}")
-    return K2Component(e)
-
-
-def _claw(g: Multigraph, center: int, leaves: list[int]) -> ClawComponent:
-    edges = []
-    for leaf in leaves:
-        e = g.edge_between(center, leaf)
-        if e is None:
-            raise GraphError(f"no edge {center}-{leaf}")
-        edges.append(e)
-    return ClawComponent(center, tuple(sorted(edges)))
 
 
 def replace_crossing(

@@ -15,7 +15,14 @@ from typing import Iterator
 
 from .coloring import EdgeColoring, coloring_is_proper
 from .eulerian import Association, associate
-from .multigraph import CubicGraph, GraphError, Multigraph
+from .multigraph import (
+    CubicGraph,
+    Cycle,
+    GraphError,
+    Multigraph,
+    check_cycle,
+    is_dominating,
+)
 from .ppm import (
     Component,
     ContractedGraph,
@@ -28,40 +35,6 @@ from .ppm import (
     ppm_from_dominating_cycle,
     quotient_components,
 )
-
-
-@dataclass(frozen=True)
-class Cycle:
-    """Closed walk: ``edges[i]`` joins ``vertices[i]`` and ``vertices[i+1]``."""
-
-    vertices: tuple[int, ...]
-    edges: tuple[int, ...]
-
-    def edge_set(self) -> frozenset[int]:
-        return frozenset(self.edges)
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
-def check_cycle(g: Multigraph, c: Cycle) -> None:
-    k = len(c.vertices)
-    if k < 1 or len(c.edges) != k:
-        raise GraphError(f"cycle has {k} vertices and {len(c.edges)} edges")
-    if len(set(c.vertices)) != k:
-        raise GraphError("cycle repeats a vertex")
-    if len(set(c.edges)) != k:
-        raise GraphError("cycle repeats an edge")
-    if k == 1:
-        a, b = g.edges[c.edges[0]]
-        if a != b or a != c.vertices[0]:
-            raise GraphError("length-1 cycle must be a loop at its vertex")
-        return
-    for i in range(k):
-        a, b = c.vertices[i], c.vertices[(i + 1) % k]
-        x, y = g.edges[c.edges[i]]
-        if {a, b} != {x, y}:
-            raise GraphError(f"cycle edge {c.edges[i]} does not join {a},{b}")
 
 
 def cycle_from_vertices(g: Multigraph, vertices: list[int]) -> Cycle:
@@ -118,13 +91,6 @@ def _pair_hits(pair: frozenset[int], edges: frozenset[int]) -> int:
 # ---------------------------------------------------------------------------
 # Dominating and stable cycles
 # ---------------------------------------------------------------------------
-
-
-def is_dominating(g: CubicGraph, cycle_vertices: set[int]) -> bool:
-    for a, b in g.graph.edges:
-        if a not in cycle_vertices and b not in cycle_vertices:
-            return False
-    return True
 
 
 def find_dominating_cycles(
@@ -342,8 +308,7 @@ def cdc_from_ccd(g: CubicGraph, m: PseudoMatching, ccd: CycleSet) -> CycleSet:
     lifted: list[Cycle] = []
     for cyc in ccd.cycles:
         lifted.append(_lift_cycle(mg, cg, comps, cyc))
-    for cv in complement_cycles(g, m):
-        lifted.append(cycle_from_vertices(mg, cv))
+    lifted.extend(complement_cycles(g, m))
     out = CycleSet(tuple(lifted), CDC)
     bad = verify_cycle_set(mg, out)
     if bad is not None:
@@ -579,7 +544,7 @@ def sabidussi_reduce(g3: CubicGraph, c: Cycle) -> ReductionTrace:
 def _reduce_level(
     g3: CubicGraph, c: Cycle
 ) -> tuple[list[ReductionLevel], str, list[Cycle] | None, ContractedGraph]:
-    m = ppm_from_dominating_cycle(g3, list(c.vertices), list(c.edges))
+    m = ppm_from_dominating_cycle(g3, c)
     cg = contract(g3, m)
 
     c1 = _least_larger_cycle(g3.graph, c)
@@ -616,9 +581,7 @@ def _reduce_level(
     assoc = associate(gprime, tprime)
     _assert_roundtrip(assoc, gprime)
 
-    c_eps = Cycle(assoc.cycle, assoc.cycle_edges)
-    check_cycle(assoc.graph3.graph, c_eps)
-    sub_levels, tag, sub_cycles, _sub_cg = _reduce_level(assoc.graph3, c_eps)
+    sub_levels, tag, sub_cycles, _sub_cg = _reduce_level(assoc.graph3, assoc.cycle)
     if sub_cycles is None:
         return [level] + sub_levels, tag, None, cg
     expanded = [
@@ -760,9 +723,7 @@ def _suppress(
 
 
 def _assert_roundtrip(assoc: Association, gprime: Multigraph) -> None:
-    m = ppm_from_dominating_cycle(
-        assoc.graph3, list(assoc.cycle), list(assoc.cycle_edges)
-    )
+    m = ppm_from_dominating_cycle(assoc.graph3, assoc.cycle)
     back = contract(assoc.graph3, m)
     if back.graph.n != gprime.n or back.graph.edges != gprime.edges:
         raise GraphError("association round-trip failed to recover the quotient")

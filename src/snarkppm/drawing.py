@@ -10,10 +10,10 @@ planarization; every produced embedding is checked against Euler's formula.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
-from .embedding import Dart, PlanarEmbedding, trace_faces
+from .embedding import Dart, PlanarEmbedding, face_successor, trace_faces
 from .minors import is_planar
 from .multigraph import CubicGraph, GraphError, Multigraph
 from .ppm import (
@@ -120,14 +120,15 @@ def _component_local(g: Multigraph, comp_of: dict[int, int], e: int, f: int) -> 
 class _Planarizer:
     """Planar rotation system under edge insertion with crossings.
 
-    Edges carry owner tokens; subdividing keeps the owner. Faces and the
-    planarity check come from ``embedding``.
+    Each edge is owned by the id of the edge of G it draws, or by None for
+    a patch boundary; subdividing keeps the owner. Faces and the planarity
+    check come from ``embedding``.
     """
 
     def __init__(self) -> None:
         self.nv = 0
         self.edges: list[tuple[int, int]] = []
-        self.owner: list[object] = []
+        self.owner: list[int | None] = []
         self.alive: list[bool] = []
         self.rot: dict[int, list[Dart]] = {}
 
@@ -137,7 +138,7 @@ class _Planarizer:
         self.rot[v] = []
         return v
 
-    def seed_edge(self, a: int, b: int, owner: object) -> int:
+    def seed_edge(self, a: int, b: int, owner: int | None) -> int:
         """Append an edge without touching rotations (caller seeds those)."""
         e = len(self.edges)
         self.edges.append((a, b))
@@ -147,9 +148,6 @@ class _Planarizer:
 
     def tail(self, d: Dart) -> int:
         return self.edges[d[0]][d[1]]
-
-    def faces(self) -> tuple[list[list[Dart]], dict[Dart, int]]:
-        return trace_faces(self.edges, self.rot)
 
     def verify_planar(self) -> None:
         self.live_graph()[2].verify_euler()
@@ -175,7 +173,7 @@ class _Planarizer:
         ring = self.rot[v]
         ring[ring.index(old)] = new
 
-    def connect_darts(self, da: Dart, db: Dart, owner: object) -> int:
+    def connect_darts(self, da: Dart, db: Dart, owner: int) -> int:
         """Insert an edge from tail(da) to tail(db) across the face that has
         da and db on its boundary (validity is the caller's responsibility)."""
         u, v = self.tail(da), self.tail(db)
@@ -187,7 +185,7 @@ class _Planarizer:
         return e
 
     def _find_route(
-        self, u: int, v: int, can_cross: Callable[[object], bool]
+        self, u: int, v: int, can_cross: Callable[[int | None], bool]
     ) -> tuple[Dart, list[Dart]]:
         """Shortest face path from u to v; returns (start dart, crossed darts).
 
@@ -196,7 +194,7 @@ class _Planarizer:
         """
         if not self.rot[u] or not self.rot[v]:
             raise GraphError("route endpoints must already carry an edge")
-        walks, face_of = self.faces()
+        walks, face_of = trace_faces(self.edges, self.rot)
         sources: dict[int, Dart] = {}
         for da in self.rot[u]:
             sources.setdefault(face_of[da], da)
@@ -278,7 +276,7 @@ class _Planarizer:
         emb = PlanarEmbedding(g, rot)
         return g, remap, emb
 
-    def owner_chain(self, owner: object, start: int) -> list[int]:
+    def owner_chain(self, owner: int, start: int) -> list[int]:
         """Live edges of one owner, ordered as a path starting at start."""
         mine = [
             e
@@ -351,50 +349,60 @@ def draw_m_avoiding(
     for v in range(mg.n):
         pl.rot[v] = list(emb.rotation[v])
 
-    crossings: list[tuple[int, int]] = []
-    dummies: list[int] = []
+    router = _Router(mg, m_set, set())
     for e in leftover:
-        a, b = mg.edges[e]
-        ends = set(mg.edges[e])
-
-        def can_cross(owner: object, _ends=ends) -> bool:
-            if not isinstance(owner, int) or owner in m_set:
-                return False
-            return not (_ends & set(mg.edges[owner]))
-
-        made = _routed(pl, a, b, e, can_cross)
-        for crossed_owner, dummy in made:
-            crossings.append((min(e, crossed_owner), max(e, crossed_owner)))
-            dummies.append(dummy)
-
-    return _finish_drawing(g, m, pl, crossings, dummies)
+        router.route(pl, e, *mg.edges[e])
+    return _finish_drawing(g, m, pl, router.crossings, router.dummies)
 
 
-def _routed(pl: _Planarizer, a, b, owner, can_cross):
-    """Insert edge (a, b), crossing only segments can_cross allows.
+@dataclass
+class _Router:
+    """Inserts edges of G into a planarizer and records the crossings made.
 
-    Returns (crossed owner, dummy vertex) per crossing, in order from a.
+    The one crossing rule: a segment may be crossed only if it draws an
+    edge of G (not a patch boundary) that is off the PPM, is not adjacent
+    to the routed edge (an edge is adjacent to itself), and has not crossed
+    it before. ``crossed`` may be shared between routers.
     """
-    cur_dart, path = pl._find_route(a, b, can_cross)
-    crossings: list[tuple[object, int]] = []
-    for hop in path:
-        e, s = hop
-        crossed_owner = pl.owner[e]
-        dummy = pl.subdivide(e)
-        e1, e2 = len(pl.edges) - 2, len(pl.edges) - 1
-        same_side = (e2, 0) if s == 0 else (e1, 1)
-        beyond = (e1, 1) if s == 0 else (e2, 0)
-        pl.connect_darts(cur_dart, same_side, owner)
-        crossings.append((crossed_owner, dummy))
-        cur_dart = beyond
-    walks, face_of = pl.faces()
-    walk = walks[face_of[cur_dart]]
-    i = walk.index(cur_dart)
-    for d in walk[i:] + walk[:i]:
-        if pl.tail(d) == b:
-            pl.connect_darts(cur_dart, d, owner)
-            return crossings
-    raise GraphError("route lost its target face")
+
+    mg: Multigraph
+    m_edges: set[int]
+    crossed: set[frozenset[int]]
+    crossings: list[tuple[int, int]] = field(default_factory=list)  # in order
+    dummies: list[int] = field(default_factory=list)  # one per crossing
+
+    def route(self, pl: _Planarizer, orig: int, a: int, b: int) -> None:
+        """Draw edge orig of G from planarizer vertex a to b along a shortest
+        face path, one dummy per crossed segment."""
+        ends = set(self.mg.edges[orig])
+
+        def can_cross(other: int | None) -> bool:
+            return (
+                other is not None
+                and other not in self.m_edges
+                and not ends & set(self.mg.edges[other])
+                and frozenset({orig, other}) not in self.crossed
+            )
+
+        cur_dart, path = pl._find_route(a, b, can_cross)
+        for e, s in path:
+            other = pl.owner[e]
+            dummy = pl.subdivide(e)
+            e1, e2 = len(pl.edges) - 2, len(pl.edges) - 1
+            same_side = (e2, 0) if s == 0 else (e1, 1)
+            beyond = (e1, 1) if s == 0 else (e2, 0)
+            pl.connect_darts(cur_dart, same_side, orig)
+            self.crossed.add(frozenset({orig, other}))
+            self.crossings.append((min(orig, other), max(orig, other)))
+            self.dummies.append(dummy)
+            cur_dart = beyond
+        # The last face reached holds b; walk it from cur_dart.
+        d = cur_dart
+        while pl.tail(d) != b:
+            d = face_successor(pl.edges, pl.rot, d)
+            if d == cur_dart:
+                raise GraphError("route lost its target face")
+        pl.connect_darts(cur_dart, d, orig)
 
 
 def _finish_drawing(
@@ -449,14 +457,15 @@ def seek_planarizing_drawing(g: CubicGraph, m: PseudoMatching) -> Drawing | None
         if a == b:
             internal.setdefault(a, []).append(cg.edge_origin[qe])
 
-    crossed_pairs: set[frozenset[int]] = set()
-    patches: list[_Patch] = []
+    m_edges = m.edge_set(mg)
+    crossed: set[frozenset[int]] = set()
+    patches: list[_Patch] = []  # patches[q] draws quotient vertex q
     comps = quotient_components(mg, m, cg)
     for q in range(cg.graph.n):
         darts = [(nonloop[e], s) for e, s in sk_emb.rotation[q]]
         patches.append(
             _build_patch(
-                mg, cg, q, darts, comps[q], internal.get(q, []), crossed_pairs
+                mg, cg, q, darts, comps[q], internal.get(q, []), m_edges, crossed
             )
         )
     drawing = _glue_patches(g, m, cg, patches)
@@ -467,7 +476,6 @@ def seek_planarizing_drawing(g: CubicGraph, m: PseudoMatching) -> Drawing | None
 
 @dataclass
 class _Patch:
-    quotient_vertex: int
     pl: _Planarizer
     local_of_gvertex: dict[int, int]
     boundary_count: int  # b-nodes are local ids 0..boundary_count-1
@@ -481,17 +489,6 @@ def _leg_target(mg: Multigraph, cg: ContractedGraph, dart: Dart) -> int:
     return mg.edges[cg.edge_origin[qe]][side]
 
 
-def _owner_origin(cg: ContractedGraph, owner: object) -> int | None:
-    """Original edge id behind a routable patch owner, else None."""
-    if not isinstance(owner, tuple):
-        return None
-    if owner[0] == "G":
-        return cg.edge_origin[owner[1][0]]
-    if owner[0] == "I":
-        return owner[1]
-    return None
-
-
 def _build_patch(
     mg: Multigraph,
     cg: ContractedGraph,
@@ -499,7 +496,8 @@ def _build_patch(
     darts: list[Dart],
     comp: Component,
     internal_origins: list[int],
-    crossed_pairs: set[frozenset[int]],
+    m_edges: set[int],
+    crossed: set[frozenset[int]],
 ) -> _Patch:
     # Boundary positions are fixed by the quotient rotation (the interior
     # sees it mirrored); greedy routing can wall a later leg off, so retry
@@ -513,14 +511,13 @@ def _build_patch(
         orders.append([seq[0]] + list(reversed(seq[1:])))
     last_error: GraphError | None = None
     for order in orders:
-        snapshot = set(crossed_pairs)
+        snapshot = set(crossed)
+        router = _Router(mg, m_edges, crossed)
         try:
-            return _try_patch(
-                mg, cg, q, base, order, comp, internal_origins, crossed_pairs
-            )
+            return _try_patch(mg, cg, base, order, comp, internal_origins, router)
         except GraphError as exc:
-            crossed_pairs.clear()
-            crossed_pairs.update(snapshot)
+            crossed.clear()
+            crossed.update(snapshot)
             last_error = exc
     raise GraphError(f"patch for quotient vertex {q} failed: {last_error}")
 
@@ -528,18 +525,17 @@ def _build_patch(
 def _try_patch(
     mg: Multigraph,
     cg: ContractedGraph,
-    q: int,
     darts: list[Dart],
     route_order: list[int],
     comp: Component,
     internal_origins: list[int],
-    crossed_pairs: set[frozenset[int]],
+    router: _Router,
 ) -> _Patch:
     k2 = len(darts)
     pl = _Planarizer()
     for _ in range(k2):
         pl.new_vertex()
-    b_edges = [pl.seed_edge(i, (i + 1) % k2, "B") for i in range(k2)] if k2 else []
+    b_edges = [pl.seed_edge(i, (i + 1) % k2, None) for i in range(k2)] if k2 else []
     for i in range(k2):
         pl.rot[i] = [(b_edges[i], 0), (b_edges[(i - 1) % k2], 1)]
 
@@ -548,7 +544,7 @@ def _try_patch(
         a, b = mg.edges[comp.edge]
         local_of[a] = pl.new_vertex()
         local_of[b] = pl.new_vertex()
-        em = pl.seed_edge(local_of[a], local_of[b], ("M", comp.edge))
+        em = pl.seed_edge(local_of[a], local_of[b], comp.edge)
         pl.rot[local_of[a]] = [(em, 0)]
         pl.rot[local_of[b]] = [(em, 1)]
     else:
@@ -568,42 +564,19 @@ def _try_patch(
         for leaf in order:
             local_of[leaf] = pl.new_vertex()
             em = pl.seed_edge(
-                local_of[center], local_of[leaf], ("M", mg.edge_between(center, leaf))
+                local_of[center], local_of[leaf], mg.edge_between(center, leaf)
             )
             ring.append((em, 0))
             pl.rot[local_of[leaf]] = [(em, 1)]
         pl.rot[local_of[center]] = ring
 
-    crossings: list[tuple[int, int]] = []
-    dummies: list[int] = []
     stub_of: dict[Dart, int] = {}
-
-    def can_cross_for(orig: int):
-        ends = set(mg.edges[orig])
-
-        def can_cross(owner: object) -> bool:
-            other = _owner_origin(cg, owner)
-            if other is None or other == orig:
-                return False
-            if ends & set(mg.edges[other]):
-                return False
-            return frozenset({orig, other}) not in crossed_pairs
-
-        return can_cross
-
-    def record(orig: int, made: list[tuple[object, int]]) -> None:
-        for crossed_owner, dummy in made:
-            other = _owner_origin(cg, crossed_owner)
-            crossed_pairs.add(frozenset({orig, other}))
-            crossings.append((min(orig, other), max(orig, other)))
-            dummies.append(dummy)
-
     if k2:
         # First routed leg is placed by hand so the patch starts connected.
         first_b = route_order[0]
         first = darts[first_b]
         t0 = local_of[_leg_target(mg, cg, first)]
-        leg0 = pl.seed_edge(first_b, t0, ("G", first))
+        leg0 = pl.seed_edge(first_b, t0, cg.edge_origin[first[0]])
         pl.rot[first_b] = [
             (b_edges[first_b], 0),
             (leg0, 0),
@@ -615,19 +588,14 @@ def _try_patch(
         for i in route_order[1:]:
             dart = darts[i]
             target = local_of[_leg_target(mg, cg, dart)]
-            orig = cg.edge_origin[dart[0]]
-            made = _routed(pl, i, target, ("G", dart), can_cross_for(orig))
-            record(orig, made)
+            router.route(pl, cg.edge_origin[dart[0]], i, target)
             stub_of[dart] = i
 
     for orig in internal_origins:
         x, y = mg.edges[orig]
-        made = _routed(
-            pl, local_of[x], local_of[y], ("I", orig), can_cross_for(orig)
-        )
-        record(orig, made)
+        router.route(pl, orig, local_of[x], local_of[y])
     pl.verify_planar()
-    return _Patch(q, pl, local_of, k2, stub_of, crossings, dummies)
+    return _Patch(pl, local_of, k2, stub_of, router.crossings, router.dummies)
 
 
 def _glue_patches(
@@ -650,54 +618,49 @@ def _glue_patches(
                 mapping[lv] = pl.new_vertex()
         global_of.append(mapping)
 
-    # Each quotient edge glues the two stub edges of its darts into one.
-    stub_edge: dict[Dart, int] = {}
+    # Each quotient edge glues the two stub edges of its darts into one. A
+    # patch holds one dart per non-loop quotient edge at it, so the stub is
+    # the one segment of that edge's owner at the dart's b-node.
+    stub_qedge: list[dict[int, int]] = []  # per patch: stub edge -> quotient edge
     stub_inner: dict[Dart, int] = {}
     for patch in patches:
+        stubs: dict[int, int] = {}
         for dart, b_local in patch.stub_of_dart.items():
+            orig = cg.edge_origin[dart[0]]
             legs = [
                 e
                 for e in range(len(patch.pl.edges))
                 if patch.pl.alive[e]
-                and patch.pl.owner[e] == ("G", dart)
+                and patch.pl.owner[e] == orig
                 and b_local in patch.pl.edges[e]
             ]
             if len(legs) != 1:
                 raise GraphError("stub edge lookup failed")
-            stub_edge[dart] = legs[0]
+            stubs[legs[0]] = dart[0]
             x, y = patch.pl.edges[legs[0]]
             stub_inner[dart] = y if x == b_local else x
+        stub_qedge.append(stubs)
 
-    merged_of_dart: dict[Dart, int] = {}
+    merged: dict[int, int] = {}
     for qe in range(cg.graph.m):
         p0, p1 = cg.graph.edges[qe]
         if p0 == p1:
             continue  # quotient loops stay inside their patch
-        d0, d1 = (qe, 0), (qe, 1)
-        x = global_of[p0][stub_inner[d0]]
-        y = global_of[p1][stub_inner[d1]]
-        ge = pl.seed_edge(x, y, cg.edge_origin[qe])
-        merged_of_dart[d0] = ge
-        merged_of_dart[d1] = ge
+        x = global_of[p0][stub_inner[(qe, 0)]]
+        y = global_of[p1][stub_inner[(qe, 1)]]
+        merged[qe] = pl.seed_edge(x, y, cg.edge_origin[qe])
 
     edge_global: list[dict[int, int]] = [dict() for _ in patches]
     for pi, patch in enumerate(patches):
         for e in range(len(patch.pl.edges)):
-            if not patch.pl.alive[e]:
-                continue
             own = patch.pl.owner[e]
-            if own == "B":
+            if not patch.pl.alive[e] or own is None:
                 continue
-            if isinstance(own, tuple) and own[0] == "G" and e == stub_edge[own[1]]:
-                edge_global[pi][e] = merged_of_dart[own[1]]
+            if e in stub_qedge[pi]:
+                edge_global[pi][e] = merged[stub_qedge[pi][e]]
                 continue
             a, b = patch.pl.edges[e]
-            ga, gb = global_of[pi][a], global_of[pi][b]
-            if own[0] in ("M", "I"):
-                orig = own[1]
-            else:
-                orig = cg.edge_origin[own[1][0]]
-            edge_global[pi][e] = pl.seed_edge(ga, gb, orig)
+            edge_global[pi][e] = pl.seed_edge(global_of[pi][a], global_of[pi][b], own)
 
     for pi, patch in enumerate(patches):
         for lv in range(patch.boundary_count, patch.pl.nv):

@@ -24,21 +24,28 @@ def twin(d: Dart) -> Dart:
     return (d[0], 1 - d[1])
 
 
+def face_successor(
+    edges: Sequence[tuple[int, int]], rotation: dict[int, list[Dart]], d: Dart
+) -> Dart:
+    """The dart after d on its face: the dart after twin(d) in the rotation
+    at head(d)."""
+    t = twin(d)
+    ring = rotation[edges[t[0]][t[1]]]
+    return ring[(ring.index(t) + 1) % len(ring)]
+
+
 def trace_faces(
     edges: Sequence[tuple[int, int]], rotation: dict[int, list[Dart]]
 ) -> tuple[list[list[Dart]], dict[Dart, int]]:
     """Face walks of a rotation system and the face index of every dart.
 
-    The successor of dart d is the dart after twin(d) in the rotation at
-    head(d). Walks start at the first unvisited dart in vertex order, then
-    rotation order, so face indices are deterministic.
+    Walks follow ``face_successor`` and start at the first unvisited dart in
+    vertex order, then rotation order, so face indices are deterministic.
     """
-    after: dict[Dart, Dart] = {}  # next dart clockwise around the same tail
     for v, darts in rotation.items():
-        for i, d in enumerate(darts):
+        for d in darts:
             if edges[d[0]][d[1]] != v:
                 raise GraphError(f"dart {d} listed at vertex {v} but has tail elsewhere")
-            after[d] = darts[(i + 1) % len(darts)]
     walks: list[list[Dart]] = []
     face_of: dict[Dart, int] = {}
     for v in sorted(rotation):
@@ -50,7 +57,7 @@ def trace_faces(
             while d not in face_of:
                 face_of[d] = len(walks)
                 walk.append(d)
-                d = after[twin(d)]
+                d = face_successor(edges, rotation, d)
             walks.append(walk)
     return walks, face_of
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .multigraph import CubicGraph, GraphError, Multigraph
+from .multigraph import CubicGraph, Cycle, GraphError, Multigraph, is_dominating
 from .ppm import TransitionSystem
 
 HalfEdge = tuple[int, int]  # (edge id, end 0/1)
@@ -20,10 +20,7 @@ HalfEdge = tuple[int, int]  # (edge id, end 0/1)
 @dataclass(frozen=True)
 class Association:
     graph3: CubicGraph
-    cycle: tuple[int, ...]  # dominating cycle, as vertices of graph3
-    cycle_edges: tuple[int, ...]  # edge ids along the cycle, same indexing
-    parts_of: tuple[tuple[int, ...], ...]  # original vertex -> its split parts
-    original_edge_count: int  # edges 0..k-1 of graph3 are the original edges
+    cycle: Cycle  # dominating cycle of graph3
 
 
 def associate(g: Multigraph, t: TransitionSystem) -> Association:
@@ -72,8 +69,9 @@ def associate(g: Multigraph, t: TransitionSystem) -> Association:
     k = cycle.index(min(cycle))
     cycle = cycle[k:] + cycle[:k]
     cyc_edges = cyc_edges[k:] + cyc_edges[:k]
-    _check_dominating(g3, cycle)
-    return Association(g3, tuple(cycle), tuple(cyc_edges), tuple(parts_of), g.m)
+    if not is_dominating(g3, set(cycle)):
+        raise GraphError("association produced a non-dominating cycle")
+    return Association(g3, Cycle(tuple(cycle), tuple(cyc_edges)))
 
 
 def _half_edge_pairing(
@@ -216,9 +214,3 @@ def eulerian_trail_transitions(
         pairs[v].append(frozenset({h[0], h2[0]}))
     return TransitionSystem(tuple(tuple(p) for p in pairs))
 
-
-def _check_dominating(g3: CubicGraph, cycle: list[int]) -> None:
-    on = set(cycle)
-    for e, (a, b) in enumerate(g3.graph.edges):
-        if a not in on and b not in on:
-            raise GraphError(f"association produced a non-dominating cycle (edge {e})")

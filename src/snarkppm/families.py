@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .multigraph import CubicGraph, GraphError, Multigraph
-from .ppm import ClawComponent, Component, K2Component, PseudoMatching, validate_ppm
+from .ppm import Component, PseudoMatching, claw_component, k2_component, validate_ppm
 
 
 @dataclass(frozen=True)
@@ -85,28 +85,6 @@ def _checked(graph: Multigraph, parts: list[Component], tag: str) -> FamilyInsta
     return FamilyInstance(g, ppm, tag)
 
 
-def _claw(g: Multigraph, vertices: tuple[int, int, int, int]) -> ClawComponent:
-    """The claw induced by four vertices; the center is found, not assumed."""
-    centers = [
-        v for v in vertices
-        if all(u == v or g.has_edge(v, u) for u in vertices)
-    ]
-    if len(centers) != 1:
-        raise GraphError(f"vertices {vertices} do not induce a claw")
-    c = centers[0]
-    edges = tuple(
-        sorted(g.edge_between(c, u) for u in vertices if u != c)  # type: ignore[type-var]
-    )
-    return ClawComponent(c, edges)  # type: ignore[arg-type]
-
-
-def _k2(g: Multigraph, a: int, b: int) -> K2Component:
-    e = g.edge_between(a, b)
-    if e is None:
-        raise GraphError(f"no edge {a}-{b}")
-    return K2Component(e)
-
-
 def petersen() -> FamilyInstance:
     edges = [
         (0, 1), (0, 4), (0, 5), (1, 2), (1, 6), (2, 3), (2, 7), (3, 4),
@@ -114,10 +92,10 @@ def petersen() -> FamilyInstance:
     ]
     g = Multigraph(10, edges)
     parts: list[Component] = [
-        _claw(g, (0, 1, 4, 5)),
-        _k2(g, 2, 7),
-        _k2(g, 3, 8),
-        _k2(g, 6, 9),
+        claw_component(g, 0, [1, 4, 5]),
+        k2_component(g, 2, 7),
+        k2_component(g, 3, 8),
+        k2_component(g, 6, 9),
     ]
     return _checked(g, parts, "petersen")
 
@@ -148,25 +126,25 @@ def blanusa_snark(n: int, j: int) -> FamilyInstance:
     for i in range(n - 1):
         off = offsets[i]
         if j == 1:
-            parts.append(_claw(g, (off + 0, off + 1, off + 2, off + 6)))
-            parts.append(_k2(g, off + 3, off + 5))
-            parts.append(_k2(g, off + 4, off + 7))
+            parts.append(claw_component(g, off + 1, [off + 0, off + 2, off + 6]))
+            parts.append(k2_component(g, off + 3, off + 5))
+            parts.append(k2_component(g, off + 4, off + 7))
         else:
-            parts.append(_claw(g, (off + 0, off + 3, off + 4, off + 5)))
-            parts.append(_k2(g, off + 1, off + 2))
-            parts.append(_k2(g, off + 6, off + 7))
+            parts.append(claw_component(g, off + 3, [off + 0, off + 4, off + 5]))
+            parts.append(k2_component(g, off + 1, off + 2))
+            parts.append(k2_component(g, off + 6, off + 7))
     off = offsets[-1]
     if j == 1:
-        parts.append(_claw(g, (off + 0, off + 1, off + 2, off + 6)))
-        parts.append(_k2(g, off + 3, off + 5))
-        parts.append(_k2(g, off + 4, off + 7))
-        parts.append(_k2(g, off + 8, off + 9))
+        parts.append(claw_component(g, off + 1, [off + 0, off + 2, off + 6]))
+        parts.append(k2_component(g, off + 3, off + 5))
+        parts.append(k2_component(g, off + 4, off + 7))
+        parts.append(k2_component(g, off + 8, off + 9))
     else:
-        parts.append(_k2(g, off + 0, off + 1))
-        parts.append(_k2(g, off + 2, off + 4))
-        parts.append(_k2(g, off + 3, off + 5))
-        parts.append(_k2(g, off + 6, off + 7))
-        parts.append(_k2(g, off + 8, off + 9))
+        parts.append(k2_component(g, off + 0, off + 1))
+        parts.append(k2_component(g, off + 2, off + 4))
+        parts.append(k2_component(g, off + 3, off + 5))
+        parts.append(k2_component(g, off + 6, off + 7))
+        parts.append(k2_component(g, off + 8, off + 9))
     return _checked(g, parts, f"blanusa(n={n},j={j})")
 
 
@@ -198,7 +176,8 @@ def flower_graph(k: int) -> Multigraph:
 
 def flower_claw_ppm(g: Multigraph, k: int) -> PseudoMatching:
     parts: list[Component] = [
-        _claw(g, (4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3)) for i in range(k)
+        claw_component(g, 4 * i, [4 * i + 1, 4 * i + 2, 4 * i + 3])
+        for i in range(k)
     ]
     return PseudoMatching(tuple(parts))
 
@@ -230,8 +209,8 @@ def goldberg_snark(k: int) -> FamilyInstance:
     g = Multigraph(8 * k, edges)
     parts: list[Component] = []
     for t in range(k):
-        parts.append(_k2(g, v(t, 1), v(t, 7)))
-        parts.append(_k2(g, v(t, 2), v(t, 8)))
-        parts.append(_k2(g, v(t, 3), v(t, 4)))
-        parts.append(_k2(g, v(t, 5), v(t, 6)))
+        parts.append(k2_component(g, v(t, 1), v(t, 7)))
+        parts.append(k2_component(g, v(t, 2), v(t, 8)))
+        parts.append(k2_component(g, v(t, 3), v(t, 4)))
+        parts.append(k2_component(g, v(t, 5), v(t, 6)))
     return _checked(g, parts, f"goldberg(k={k})")

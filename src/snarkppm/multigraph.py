@@ -1,4 +1,4 @@
-"""Core multigraph and cubic graph types.
+"""Core multigraph, cubic graph and cycle types.
 
 Graphs are immutable after construction: vertex count plus an ordered edge
 list. Loops and parallel edges are allowed; edge indices are stable and all
@@ -7,6 +7,7 @@ operations that modify a graph return a fresh one.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 VERTEX_CAP = 128
@@ -206,6 +207,50 @@ class CubicGraph:
 
 def cubic(n: int, edges: Iterable[tuple[int, int]]) -> CubicGraph:
     return CubicGraph(Multigraph(n, edges))
+
+
+# -- cycles ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Cycle:
+    """Closed walk: ``edges[i]`` joins ``vertices[i]`` and ``vertices[i+1]``."""
+
+    vertices: tuple[int, ...]
+    edges: tuple[int, ...]
+
+    def edge_set(self) -> frozenset[int]:
+        return frozenset(self.edges)
+
+    def __len__(self) -> int:
+        return len(self.edges)
+
+
+def check_cycle(g: Multigraph, c: Cycle) -> None:
+    k = len(c.vertices)
+    if k < 1 or len(c.edges) != k:
+        raise GraphError(f"cycle has {k} vertices and {len(c.edges)} edges")
+    if len(set(c.vertices)) != k:
+        raise GraphError("cycle repeats a vertex")
+    if len(set(c.edges)) != k:
+        raise GraphError("cycle repeats an edge")
+    if k == 1:
+        a, b = g.edges[c.edges[0]]
+        if a != b or a != c.vertices[0]:
+            raise GraphError("length-1 cycle must be a loop at its vertex")
+        return
+    for i in range(k):
+        a, b = c.vertices[i], c.vertices[(i + 1) % k]
+        x, y = g.edges[c.edges[i]]
+        if {a, b} != {x, y}:
+            raise GraphError(f"cycle edge {c.edges[i]} does not join {a},{b}")
+
+
+def is_dominating(g: CubicGraph, cycle_vertices: set[int]) -> bool:
+    for a, b in g.graph.edges:
+        if a not in cycle_vertices and b not in cycle_vertices:
+            return False
+    return True
 
 
 # -- plain-text edge-list format -------------------------------------------

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .minors import has_k5_minor, is_planar
-from .multigraph import CubicGraph, GraphError, Multigraph
+from .multigraph import (
+    CubicGraph,
+    Cycle,
+    GraphError,
+    Multigraph,
+    check_cycle,
+    is_dominating,
+)
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,25 @@ class PseudoMatching:
 
     def claw_count(self) -> int:
         return sum(1 for c in self.components if isinstance(c, ClawComponent))
+
+
+def k2_component(g: Multigraph, a: int, b: int) -> K2Component:
+    """The K2 on an edge joining vertices a and b."""
+    return K2Component(_edge_between(g, a, b))
+
+
+def claw_component(g: Multigraph, center: int, leaves: list[int]) -> ClawComponent:
+    """The claw joining center to each leaf."""
+    return ClawComponent(
+        center, tuple(sorted(_edge_between(g, center, leaf) for leaf in leaves))
+    )
+
+
+def _edge_between(g: Multigraph, a: int, b: int) -> int:
+    e = g.edge_between(a, b)
+    if e is None:
+        raise GraphError(f"no edge {a}-{b}")
+    return e
 
 
 @dataclass(frozen=True)
@@ -186,10 +212,10 @@ def enumerate_ppms(
     yield from rec(0)
 
 
-def complement_cycles(g: CubicGraph, m: PseudoMatching) -> list[list[int]]:
-    """The disjoint cycles of g minus the PPM edges, as closed vertex lists.
+def complement_cycles(g: CubicGraph, m: PseudoMatching) -> list[Cycle]:
+    """The disjoint cycles of g minus the PPM edges, with the edges walked.
 
-    Each cycle starts at its least vertex and steps first toward the
+    Each cycle starts at its least vertex and steps first along the
     lower-indexed available edge, so output is deterministic.
     """
     bad = validate_ppm(g, m)
@@ -214,16 +240,18 @@ def complement_cycles(g: CubicGraph, m: PseudoMatching) -> list[list[int]]:
     for s in range(mg.n):
         if seen[s] or not next_edges[s]:
             continue
-        cycle = [s]
-        seen[s] = True
-        e = min(next_edges[s])
-        v = mg.other_end(e, s)
-        while v != s:
-            cycle.append(v)
+        verts: list[int] = []
+        walked: list[int] = []
+        v, e = s, min(next_edges[s])
+        while True:
+            verts.append(v)
+            walked.append(e)
             seen[v] = True
-            e = next_edges[v][0] if next_edges[v][1] == e else next_edges[v][1]
             v = mg.other_end(e, v)
-        cycles.append(cycle)
+            if v == s:
+                break
+            e = next_edges[v][0] if next_edges[v][1] == e else next_edges[v][1]
+        cycles.append(Cycle(tuple(verts), tuple(walked)))
     return cycles
 
 
@@ -324,25 +352,13 @@ def classify_ppm(g: CubicGraph, m: PseudoMatching) -> str:
     return NEITHER
 
 
-def ppm_from_dominating_cycle(
-    g: CubicGraph, cycle: list[int], cycle_edges: list[int] | None = None
-) -> PseudoMatching:
-    """The PPM formed by the edges of g not on the dominating cycle.
-
-    ``cycle_edges`` resolves which parallel edge the cycle uses; without it
-    the steps are looked up by endpoints (fine for simple graphs).
-    """
+def ppm_from_dominating_cycle(g: CubicGraph, c: Cycle) -> PseudoMatching:
+    """The PPM formed by the edges of g not on the dominating cycle c."""
     mg = g.graph
-    if cycle_edges is not None:
-        cyc_edges = set(cycle_edges)
-        if len(cyc_edges) != len(cycle):
-            raise GraphError("cycle repeats an edge")
-    else:
-        cyc_edges = _cycle_edge_set(mg, cycle)
-    on_cycle = set(cycle)
-    for e, (a, b) in enumerate(mg.edges):
-        if a not in on_cycle and b not in on_cycle:
-            raise GraphError(f"cycle is not dominating: edge {e} = ({a},{b}) outside")
+    check_cycle(mg, c)
+    if not is_dominating(g, set(c.vertices)):
+        raise GraphError("cycle is not dominating")
+    cyc_edges = c.edge_set()
     rest = [e for e in range(mg.m) if e not in cyc_edges]
     deg = {v: [] for v in range(mg.n)}
     for e in rest:
@@ -369,21 +385,6 @@ def ppm_from_dominating_cycle(
     if bad is not None:
         raise GraphError(f"cycle complement is not a PPM: {bad.message}")
     return ppm
-
-
-def _cycle_edge_set(g: Multigraph, cycle: list[int]) -> set[int]:
-    if len(cycle) < 2:
-        raise GraphError("cycle must have length >= 2")
-    out = set()
-    for i, v in enumerate(cycle):
-        w = cycle[(i + 1) % len(cycle)]
-        e = g.edge_between(v, w)
-        if e is None:
-            raise GraphError(f"cycle step {v}->{w} is not an edge")
-        out.add(e)
-    if len(out) != len(cycle):
-        raise GraphError("cycle repeats an edge")
-    return out
 
 
 # -- PPM sidecar text format -------------------------------------------------
@@ -420,15 +421,11 @@ def parse_ppm(g: Multigraph, text: str) -> PseudoMatching:
         for v in ids:
             if not 0 <= v < g.n:
                 raise GraphError(f"ppm line {lineno}: vertex {v} outside 0..{g.n - 1}")
-        first, *others = ids
-        edges = []
-        for v in others:
-            e = g.edge_between(first, v)
-            if e is None:
-                raise GraphError(f"ppm line {lineno}: no edge {first}-{v}")
-            edges.append(e)
-        if kind == "K2":
-            parts.append(K2Component(edges[0]))
-        else:
-            parts.append(ClawComponent(first, tuple(sorted(edges))))
+        try:
+            if kind == "K2":
+                parts.append(k2_component(g, *ids))
+            else:
+                parts.append(claw_component(g, ids[0], ids[1:]))
+        except GraphError as exc:
+            raise GraphError(f"ppm line {lineno}: {exc}") from None
     return PseudoMatching(tuple(parts))

@@ -97,7 +97,7 @@ def test_criterion_1_petersen_fixture():
         assert validate_ppm(inst.graph, inst.designated_ppm) is None
         cycles = complement_cycles(inst.graph, inst.designated_ppm)
         assert len(cycles) == 1 and len(cycles[0]) == 9
-        assert _cycle_eq(cycles[0], C0)
+        assert _cycle_eq(list(cycles[0].vertices), C0)
         assert classify_ppm(inst.graph, inst.designated_ppm) == PLANARIZING
         cg = contract(inst.graph, inst.designated_ppm)
         ccd = find_ccd(cg)

@@ -212,6 +212,21 @@ class TestCli:
         assert main([command, flag, prefix + ".g6", "--ppm", str(bad)]) == 1
         assert capsys.readouterr().err.startswith("error: ppm line 1: ")
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [("abc", "expected 94 data bytes"), ("Ch", "vertex 0 has degree 1")],
+    )
+    def test_census_names_bad_line(
+        self, tmp_path, capsys, petersen_g6, workers, bad, reason
+    ):
+        # Line numbers count blank lines, as in the non-snark note.
+        src = tmp_path / "list.g6"
+        src.write_text(petersen_g6 + "\n\n" + bad + "\n")
+        code = main(["census", "--input", str(src), "--workers", str(workers)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: line 3: {reason}")
+
     def test_incomplete_census_exit_code(self, tmp_path, capsys, petersen_g6, monkeypatch):
         monkeypatch.setenv("SNARKPPM_TIMEOUT_MS", "0")
         src = tmp_path / "list.g6"

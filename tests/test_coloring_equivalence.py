@@ -92,9 +92,7 @@ def _coloring_with_class(g: CubicGraph, m, cycles) -> EdgeColoring:
     for e in m.edge_set(g.graph):
         color[e] = 3
     for cyc in cycles:
-        for i in range(len(cyc)):
-            a, b = cyc[i], cyc[(i + 1) % len(cyc)]
-            e = g.graph.edge_between(a, b)
+        for i, e in enumerate(cyc.edges):
             color[e] = 1 if i % 2 == 0 else 2
     return EdgeColoring(color)
 

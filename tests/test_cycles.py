@@ -13,7 +13,9 @@ from snarkppm import (
     Cycle,
     CycleSet,
     GraphError,
+    K2Component,
     Multigraph,
+    PseudoMatching,
     TransitionSystem,
     cdc_from_ccd,
     ccd_from_coloring,
@@ -210,6 +212,22 @@ class TestCDC:
                 assert len(cdc.cycles) == len(ccd.cycles) + len(
                     complement_cycles(cg3, m)
                 )
+
+    def test_lift_through_parallel_edges(self):
+        # Complement cycles keep the parallel edge they walk, so digons lift.
+        theta = CubicGraph(Multigraph(2, [(0, 1)] * 3))
+        cases = [(theta, m) for m in enumerate_ppms(theta)]
+        g = CubicGraph(
+            Multigraph(4, [(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)])
+        )
+        cases.append((g, PseudoMatching((K2Component(2), K2Component(3)))))
+        assert len(cases) == 4
+        for g, m in cases:
+            ccds = list(enumerate_ccds(contract(g, m)))
+            assert ccds
+            for ccd in ccds:
+                cdc = cdc_from_ccd(g, m, ccd)
+                assert verify_cycle_set(g.graph, cdc) is None
 
     def test_verify_reports_first_violation(self):
         inst, cg = _petersen_contraction()

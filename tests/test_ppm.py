@@ -18,6 +18,7 @@ from snarkppm import (
     classify_ppm,
     complement_cycles,
     contract,
+    cycle_from_vertices,
     enumerate_ppms,
     flower_snark,
     goldberg_snark,
@@ -107,7 +108,7 @@ class TestComplementAndContract:
         inst = petersen()
         cycles = complement_cycles(inst.graph, inst.designated_ppm)
         assert len(cycles) == 1
-        assert _same_cycle(cycles[0], C0)
+        assert _same_cycle(list(cycles[0].vertices), C0)
 
     def test_flower_complement_cycle_lengths(self):
         inst = flower_snark(5)
@@ -120,6 +121,13 @@ class TestComplementAndContract:
         assert sum(lengths) == 40
         # Frozen fixture: the ring of v5 vertices is the 5-cycle.
         assert lengths == [5, 10, 25]
+
+    def test_complement_cycles_walk_parallel_edges(self):
+        theta = CubicGraph(Multigraph(2, [(0, 1)] * 3))
+        for e in range(3):
+            (cyc,) = complement_cycles(theta, PseudoMatching((K2Component(e),)))
+            assert cyc.vertices == (0, 1)
+            assert sorted(cyc.edges) == [f for f in range(3) if f != e]
 
     def test_complement_covers_everything_but_claw_centers(self, cubic_graphs_le8):
         for g in cubic_graphs_le8:
@@ -212,21 +220,22 @@ class TestClassify:
 class TestDominatingComplement:
     def test_petersen_c0_gives_designated_ppm(self):
         inst = petersen()
-        m = ppm_from_dominating_cycle(inst.graph, C0)
+        c0 = cycle_from_vertices(inst.graph.graph, C0)
+        m = ppm_from_dominating_cycle(inst.graph, c0)
         assert m.edge_set(inst.graph.graph) == inst.designated_ppm.edge_set(
             inst.graph.graph
         )
 
     def test_k4_hamiltonian_leaves_matching(self):
         g = CubicGraph(named.k4())
-        m = ppm_from_dominating_cycle(g, [0, 1, 2, 3])
+        m = ppm_from_dominating_cycle(g, cycle_from_vertices(g.graph, [0, 1, 2, 3]))
         assert m.is_perfect_matching()
         assert m.claw_count() == 0
 
     def test_non_dominating_cycle_rejected(self):
         g = CubicGraph(named.pentagonal_prism())
         with pytest.raises(GraphError, match="not dominating"):
-            ppm_from_dominating_cycle(g, [0, 1, 2, 3, 4])
+            ppm_from_dominating_cycle(g, cycle_from_vertices(g.graph, [0, 1, 2, 3, 4]))
 
 
 class TestSidecar:

@@ -8,7 +8,6 @@ import named
 import oracles
 from snarkppm import (
     CubicGraph,
-    Cycle,
     GraphError,
     Multigraph,
     TransitionSystem,
@@ -44,10 +43,8 @@ class TestAssociate:
         cg = contract(inst.graph, inst.designated_ppm)
         t = eulerian_trail_transitions(cg.graph)
         assoc = associate(cg.graph, t)
-        assert is_dominating(assoc.graph3, set(assoc.cycle))
-        m2 = ppm_from_dominating_cycle(
-            assoc.graph3, list(assoc.cycle), list(assoc.cycle_edges)
-        )
+        assert is_dominating(assoc.graph3, set(assoc.cycle.vertices))
+        m2 = ppm_from_dominating_cycle(assoc.graph3, assoc.cycle)
         back = contract(assoc.graph3, m2)
         assert are_isomorphic(back.graph, cg.graph)
 
@@ -95,13 +92,12 @@ class TestAssociate:
         cg = contract(inst.graph, inst.designated_ppm)
         t = eulerian_trail_transitions(cg.graph)
         assoc = associate(cg.graph, t)
-        m2 = ppm_from_dominating_cycle(
-            assoc.graph3, list(assoc.cycle), list(assoc.cycle_edges)
-        )
+        m2 = ppm_from_dominating_cycle(assoc.graph3, assoc.cycle)
         back = contract(assoc.graph3, m2)
         has_ccd = find_ccd(back) is not None
-        cyc = Cycle(assoc.cycle, assoc.cycle_edges)
-        has_cdc = oracles.brute_cdc_containing(assoc.graph3.graph, cyc.edge_set())
+        has_cdc = oracles.brute_cdc_containing(
+            assoc.graph3.graph, assoc.cycle.edge_set()
+        )
         assert has_ccd == has_cdc
 
     def test_trail_cdc_equivalence_small_corpus(self, cubic_graphs_le8):
@@ -114,13 +110,10 @@ class TestAssociate:
                     continue  # trail transitions with loops are exercised above
                 t = eulerian_trail_transitions(cg.graph)
                 assoc = associate(cg.graph, t)
-                m2 = ppm_from_dominating_cycle(
-            assoc.graph3, list(assoc.cycle), list(assoc.cycle_edges)
-        )
+                m2 = ppm_from_dominating_cycle(assoc.graph3, assoc.cycle)
                 back = contract(assoc.graph3, m2)
-                cyc = Cycle(assoc.cycle, assoc.cycle_edges)
                 assert (find_ccd(back) is not None) == oracles.brute_cdc_containing(
-                    assoc.graph3.graph, cyc.edge_set()
+                    assoc.graph3.graph, assoc.cycle.edge_set()
                 )
 
 
