@@ -1,19 +1,31 @@
-"""Cyclic edge connectivity for cubic graphs by candidate-cut enumeration.
+"""Cyclic edge connectivity by joining fundamental-cycle labels.
 
 A cyclic edge cut is an edge set whose removal leaves at least two components
-that each contain a cycle. Every minimal such cut of size c shows up as
-(c-1 removed edges) + (a bridge of the remainder), which is what the
-enumeration walks. Exhaustive at the vertex cap.
+that each contain a cycle.
 
-Convention for graphs with no two vertex-disjoint cycles (e.g. K4): there is
-no cyclic cut of any size, so ``cyclic_edge_connectivity_at_least`` reports
-True for every k.
+Labels: fix a BFS spanning tree. A non-tree edge gets its own bit, a tree edge
+the bits of the non-tree edges whose fundamental cycle runs through it. The
+labels of an edge set S XOR to 0 iff S meets every fundamental cycle in an
+even number of edges. These cycles span the cycle space, whose orthogonal
+complement is the cut space, so XOR 0 means S = delta(X) for a vertex set X.
+With full-width labels no non-cut passes as a candidate.
+
+Join: meet in the middle. The floor(c/2)-subsets go into a dict keyed by
+their XOR; each ceil(c/2)-subset looks up its own XOR, and a pair counts only
+when all of its first half comes first, so each zero-XOR c-set comes out once.
+
+If K is a cyclic component of G - S, then delta(V(K)) lies in S and is itself
+a cyclic cut, so every cyclic cut is a zero-XOR cyclic cut plus zero or more
+edges. Candidates of both kinds are checked with ``_is_cyclic_cut``.
+
+Graphs with no two vertex-disjoint cycles (e.g. K4) have no cyclic cut, so
+``cyclic_edge_connectivity_at_least`` reports True for every k.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .multigraph import CubicGraph, GraphError, Multigraph
 
@@ -22,81 +34,86 @@ def cyclic_edge_connectivity_at_least(g: CubicGraph, k: int) -> bool:
     """True iff no edge cut of size < k separates two cycle-containing parts."""
     if not 2 <= k <= 6:
         raise GraphError(f"k={k} outside supported range 2..6")
-    if not g.graph.is_connected():
-        raise GraphError("cyclic edge connectivity needs a connected graph")
     for _cut in cyclic_cuts_up_to(g.graph, k - 1):
         return False
     return True
 
 
 def cyclic_cuts_up_to(g: Multigraph, max_size: int) -> Iterator[frozenset[int]]:
-    """All cyclic edge cuts of size <= max_size, each reported once."""
-    seen: set[frozenset[int]] = set()
-    m = g.m
-    for s in range(max_size):
-        for subset in combinations(range(m), s):
-            banned = set(subset)
-            for b in _bridges(g, banned):
-                cut = frozenset(banned | {b})
-                if len(cut) > max_size or cut in seen:
-                    continue
-                if _is_cyclic_cut(g, cut):
-                    seen.add(cut)
-                    yield cut
+    """All cyclic edge cuts of size <= max_size, each reported once, in
+    nondecreasing size. Raises GraphError at once on a disconnected graph."""
+    if not g.is_connected():
+        raise GraphError("cyclic edge connectivity needs a connected graph")
+    return _cyclic_cuts(g, _cycle_labels(g), max_size)
 
 
-def _bridges(g: Multigraph, banned: set[int]) -> list[int]:
-    """Bridges of g minus the banned edges (iterative lowpoint DFS)."""
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    out: list[int] = []
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        stack: list[list] = [[root, -1, 0]]  # vertex, entry edge, edge-pos
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            frame = stack[-1]
-            v, entry, pos = frame
-            inc = g.incident_edges(v)
-            advanced = False
-            while pos < len(inc):
-                e = inc[pos]
-                pos += 1
-                frame[2] = pos
-                if e in banned or e == entry:
-                    continue
-                w = g.other_end(e, v)
-                if w == v:
-                    continue
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append([w, e, 0])
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            if pos >= len(inc):
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] > disc[u]:
-                        out.append(entry)
-    return out
+def _cyclic_cuts(
+    g: Multigraph, labels: list[int], max_size: int
+) -> Iterator[frozenset[int]]:
+    space_cuts: list[frozenset[int]] = []  # zero-XOR cyclic cuts of smaller sizes
+    for size in range(1, max_size + 1):
+        grown = {
+            base.union(extra)
+            for base in space_cuts
+            for extra in combinations(set(range(g.m)) - base, size - len(base))
+        }
+        for cut in _zero_xor_sets(labels, size):
+            grown.discard(cut)
+            if _is_cyclic_cut(g, cut):
+                space_cuts.append(cut)
+                yield cut
+        yield from (cut for cut in grown if _is_cyclic_cut(g, cut))
+
+
+def _cycle_labels(g: Multigraph) -> list[int]:
+    """Each edge's bitmask of the fundamental cycles (of a BFS tree) through it."""
+    parent_edge = [-1] * g.n
+    order = [0]
+    for v in order:
+        for e in g.incident_edges(v):
+            w = g.other_end(e, v)
+            if w != 0 and parent_edge[w] == -1:
+                parent_edge[w] = e
+                order.append(w)
+    tree = set(parent_edge[1:])
+    labels = [0] * g.m
+    below = [0] * g.n  # XOR of the bits of the non-tree edges at each vertex
+    for e, (a, b) in enumerate(g.edges):
+        if e not in tree:
+            labels[e] = 1 << e
+            below[a] ^= labels[e]
+            below[b] ^= labels[e]
+    # A tree edge carries the bits of the non-tree edges with one end below it.
+    for v in reversed(order[1:]):
+        e = parent_edge[v]
+        labels[e] = below[v]
+        below[g.other_end(e, v)] ^= below[v]
+    return labels
+
+
+def _xor(labels: list[int], edges: Iterable[int]) -> int:
+    x = 0
+    for e in edges:
+        x ^= labels[e]
+    return x
+
+
+def _zero_xor_sets(labels: list[int], size: int) -> Iterator[frozenset[int]]:
+    """Every edge set of the given size whose labels XOR to 0, each once."""
+    halves: dict[int, list[tuple[int, ...]]] = {}
+    for first in combinations(range(len(labels)), size // 2):
+        halves.setdefault(_xor(labels, first), []).append(first)
+    for second in combinations(range(len(labels)), size - size // 2):
+        for first in halves.get(_xor(labels, second), ()):
+            if not first or first[-1] < second[0]:
+                yield frozenset(first + second)
 
 
 def _is_cyclic_cut(g: Multigraph, cut: frozenset[int]) -> bool:
     """Removal must leave >= 2 components that each contain a cycle."""
-    n = g.n
-    comp = [-1] * n
+    comp = [-1] * g.n
     ncomp = 0
-    for s in range(n):
+    for s in range(g.n):
         if comp[s] != -1:
             continue
         comp[s] = ncomp
@@ -111,14 +128,11 @@ def _is_cyclic_cut(g: Multigraph, cut: frozenset[int]) -> bool:
                     comp[w] = ncomp
                     frontier.append(w)
         ncomp += 1
-    if ncomp < 2:
-        return False
-    vcount = [0] * ncomp
-    ecount = [0] * ncomp
-    for v in range(n):
-        vcount[comp[v]] += 1
+    # A component has a cycle iff it keeps at least as many edges as vertices.
+    surplus = [0] * ncomp
+    for v in range(g.n):
+        surplus[comp[v]] -= 1
     for e, (a, _b) in enumerate(g.edges):
         if e not in cut:
-            ecount[comp[a]] += 1
-    cyclic_sides = sum(1 for c in range(ncomp) if ecount[c] >= vcount[c])
-    return cyclic_sides >= 2
+            surplus[comp[a]] += 1
+    return sum(1 for x in surplus if x >= 0) >= 2

@@ -138,6 +138,21 @@ class TestAnalyze:
         text = analyze(CubicGraph(named.cube()))
         assert "snark: no" in text
 
+    def test_connectivity_line(self):
+        from snarkppm import CubicGraph, cyclic_cuts_up_to, flower_snark, goldberg_snark
+
+        g5 = goldberg_snark(5).graph
+        assert len(list(cyclic_cuts_up_to(g5.graph, 5))) == 16
+        for g, level in [
+            (CubicGraph(named.prism()), 0),
+            (CubicGraph(named.cube()), 4),
+            (petersen().graph, 5),
+            (g5, 5),
+            (flower_snark(7).graph, 6),
+        ]:
+            line = f"cyclically {level}-edge-connected (checked up to 6)"
+            assert line in analyze(g).splitlines()
+
 
 class TestCli:
     def test_gen_petersen_stdout(self, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import named
@@ -178,7 +180,27 @@ class TestCyclicConnectivity:
                 expect = not any(len(c) < k for c in brute)
                 assert cyclic_edge_connectivity_at_least(CubicGraph(g), k) == expect
 
+    def test_agrees_with_brute_force_on_random_cubic_multigraphs(self):
+        # Configuration-model pairings: loops and parallel edges included.
+        rng = random.Random(2026)
+        cases = [(named.petersen_standard(), 5)]
+        while len(cases) < 101:
+            n = rng.choice((2, 4, 6, 8, 10, 12))
+            stubs = [v for v in range(n) for _ in range(3)]
+            rng.shuffle(stubs)
+            g = Multigraph(n, zip(stubs[::2], stubs[1::2]))
+            if g.is_connected():
+                cases.append((g, 5 if n <= 8 else 4))
+        assert any(a == b for g, _k in cases for a, b in g.edges)
+        for g, k in cases:
+            cuts = list(cyclic_cuts_up_to(g, k))
+            assert len(set(cuts)) == len(cuts)
+            assert [len(c) for c in cuts] == sorted(len(c) for c in cuts)
+            assert set(cuts) == oracles.brute_cyclic_cuts(g, k), g.edges
+
     def test_disconnected_rejected(self):
         two_thetas = Multigraph(4, [(0, 1)] * 3 + [(2, 3)] * 3)
         with pytest.raises(GraphError):
             cyclic_edge_connectivity_at_least(CubicGraph(two_thetas), 4)
+        with pytest.raises(GraphError):
+            cyclic_cuts_up_to(two_thetas, 2)
