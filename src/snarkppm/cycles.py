@@ -3,9 +3,12 @@ decompositions, cycle double covers, intersection graphs, and the
 dominating-cycle reduction loop.
 
 Cycles are vertex-simple closed walks: length 1 (a loop edge), length 2
-(a pair of parallel edges), or longer. Compatibility with a transition
-system counts edges, except that a self-pair {e} (one loop named twice,
-i.e. both its ends) forbids e on any cycle.
+(a pair of parallel edges), or longer. A cycle is compatible with a
+transition system when it holds no transition pair entirely; a self-pair
+{e} (both ends of loop e) forbids e on any cycle. A compatible cycle
+decomposition is therefore one pairing of the half-edges at each vertex
+that uses no transition pair and whose closed trails are all cycles, and
+`enumerate_ccds` lists these pairings with `eulerian.pairing_search`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,13 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .coloring import EdgeColoring, coloring_is_proper
-from .eulerian import Association, associate
+from .eulerian import (
+    Association,
+    associate,
+    closed_trails,
+    half_edges_at,
+    pairing_search,
+)
 from .multigraph import (
     CubicGraph,
     Cycle,
@@ -79,13 +88,6 @@ def verify_cycle_set(g: Multigraph, s: CycleSet) -> Violation | None:
             got = names.get(count[e], f"{count[e]} times")
             return Violation(f"edge {e} covered {got}, expected {names[want]}")
     return None
-
-
-def _pair_hits(pair: frozenset[int], edges: frozenset[int]) -> int:
-    if len(pair) == 1:
-        (e,) = pair
-        return 2 if e in edges else 0  # self-paired loop: both ends count
-    return len(pair & edges)
 
 
 # ---------------------------------------------------------------------------
@@ -198,75 +200,29 @@ def is_stable(g: CubicGraph, c: Cycle) -> bool:
 
 
 def enumerate_ccds(cg: ContractedGraph) -> Iterator[CycleSet]:
-    """Every transition-compatible cycle decomposition, each exactly once."""
+    """Every transition-compatible cycle decomposition, each exactly once.
+
+    A CCD is one pairing of the half-edges at each vertex that uses no
+    transition pair and whose closed trails are all cycles.
+    """
     g = cg.graph
-    forbidden: list[set[frozenset[int]]] = [
-        set(cg.transitions.pairs(v)) for v in range(g.n)
-    ]
-    # A self-paired edge can never lie on a compatible cycle.
-    for v in range(g.n):
-        for pair in forbidden[v]:
-            if len(pair) == 1:
-                return
-    chosen: list[Cycle] = []
+    forbidden = [set(cg.transitions.pairs(v)) for v in range(g.n)]
+    # A self-paired loop can lie on no compatible cycle.
+    if any(len(pair) == 1 for pairs in forbidden for pair in pairs):
+        return
+    for partner in pairing_search(g, forbidden, cycles=True):
+        yield CycleSet(_trail_cycles(g, partner), CCD)
 
-    def loop_ok(e: int, v: int) -> bool:
-        return all(_pair_hits(p, frozenset({e})) <= 1 for p in forbidden[v])
 
-    def cycles_through(e0: int, unused: set[int]) -> Iterator[Cycle]:
-        a, b = g.edges[e0]
-        if a == b:
-            if loop_ok(e0, a):
-                yield Cycle((a,), (e0,))
-            return
-        # Digons through a parallel mate of e0.
-        for f in sorted(g.incident_edges(b)):
-            if f != e0 and f in unused and g.other_end(f, b) == a:
-                pair = frozenset({e0, f})
-                if pair not in forbidden[a] and pair not in forbidden[b]:
-                    yield Cycle((a, b), (e0, f))
-        path_v = [a, b]
-        path_e = [e0]
-        on_path = {a, b}
-
-        def extend() -> Iterator[Cycle]:
-            v = path_v[-1]
-            last = path_e[-1]
-            for f in sorted(g.incident_edges(v)):
-                if f not in unused or f == last:
-                    continue
-                if frozenset({last, f}) in forbidden[v]:
-                    continue
-                w = g.other_end(f, v)
-                if w == v:
-                    continue
-                if w == a:
-                    if len(path_v) > 2 and frozenset({f, e0}) not in forbidden[a]:
-                        yield Cycle(tuple(path_v), tuple(path_e + [f]))
-                    continue
-                if w in on_path:
-                    continue
-                path_v.append(w)
-                path_e.append(f)
-                on_path.add(w)
-                yield from extend()
-                on_path.discard(w)
-                path_e.pop()
-                path_v.pop()
-
-        yield from extend()
-
-    def rec(unused: set[int]) -> Iterator[CycleSet]:
-        if not unused:
-            yield CycleSet(tuple(chosen), CCD)
-            return
-        e0 = min(unused)
-        for cyc in cycles_through(e0, unused):
-            chosen.append(cyc)
-            yield from rec(unused - cyc.edge_set())
-            chosen.pop()
-
-    yield from rec(set(range(g.m)))
+def _trail_cycles(g: Multigraph, partner: list[int]) -> tuple[Cycle, ...]:
+    """The closed trails of a pairing whose trails are all cycles."""
+    return tuple(
+        Cycle(
+            tuple(g.edges[h >> 1][h & 1] for h in trail),
+            tuple(h >> 1 for h in trail),
+        )
+        for trail in closed_trails(g, partner)
+    )
 
 
 def find_ccd(cg: ContractedGraph) -> CycleSet | None:
@@ -279,14 +235,26 @@ def verify_ccd_compatible(cg: ContractedGraph, s: CycleSet) -> Violation | None:
     if bad is not None:
         return bad
     for c in s.cycles:
-        edges = c.edge_set()
-        for v in range(cg.graph.n):
-            for pair in cg.transitions.pairs(v):
-                if _pair_hits(pair, edges) > 1:
-                    return Violation(
-                        f"cycle uses both edges of transition pair {sorted(pair)}"
-                        f" at vertex {v}"
-                    )
+        bad = _cycle_incompatible(cg, c)
+        if bad is not None:
+            return bad
+    return None
+
+
+def _cycle_incompatible(cg: ContractedGraph, c: Cycle) -> Violation | None:
+    """The first transition pair that c holds entirely.
+
+    A pair lies at a vertex both its edges touch, so only c's own vertices
+    can hold one; a self-paired loop {e} forbids e outright.
+    """
+    edges = c.edge_set()
+    for v in c.vertices:
+        for pair in cg.transitions.pairs(v):
+            if pair <= edges:
+                return Violation(
+                    f"cycle uses both edges of transition pair {sorted(pair)}"
+                    f" at vertex {v}"
+                )
     return None
 
 
@@ -460,38 +428,16 @@ def ccd_from_coloring(
 def _edge_disjoint_cycles(g: Multigraph, edges: list[int]) -> list[Cycle]:
     """Split an even subgraph whose vertices all have degree 0 or 2 (loops
     counting 2) into its cycles; loops become length-1 cycles."""
-    plain: list[int] = []
-    out: list[Cycle] = []
-    for e in sorted(edges):
-        a, b = g.edges[e]
-        if a == b:
-            out.append(Cycle((a,), (e,)))
-        else:
-            plain.append(e)
-    at: dict[int, list[int]] = {}
-    for e in plain:
-        a, b = g.edges[e]
-        at.setdefault(a, []).append(e)
-        at.setdefault(b, []).append(e)
-    for v, inc in at.items():
-        if len(inc) != 2:
-            raise GraphError(f"vertex {v} has {len(inc)} class edges, expected 2")
-    unused = set(plain)
-    while unused:
-        e0 = min(unused)
-        a, b = g.edges[e0]
-        verts = [a]
-        eds = [e0]
-        unused.discard(e0)
-        v = b
-        while v != a:
-            verts.append(v)
-            e = next(x for x in at[v] if x in unused)
-            unused.discard(e)
-            eds.append(e)
-            v = g.other_end(e, v)
-        out.append(Cycle(tuple(verts), tuple(eds)))
-    return out
+    partner = [-1] * (2 * g.m)
+    for v, halves in enumerate(half_edges_at(g, edges)):
+        if len(halves) not in (0, 2):
+            raise GraphError(
+                f"vertex {v} meets {len(halves)} edge ends, expected 0 or 2"
+            )
+        if halves:
+            a, b = halves
+            partner[a], partner[b] = b, a
+    return list(_trail_cycles(g, partner))
 
 
 # ---------------------------------------------------------------------------
@@ -609,19 +555,9 @@ def _extract_off_cycle(cg: ContractedGraph, c1: Cycle) -> list[Cycle]:
     off = [qe for qe, orig in enumerate(cg.edge_origin) if orig not in on_c1]
     if not off:
         raise GraphError("larger dominating cycle left nothing to extract")
-    sdeg = [0] * cg.graph.n
-    for qe in off:
-        a, b = cg.graph.edges[qe]
-        sdeg[a] += 1
-        sdeg[b] += 1
-    if any(d > 2 for d in sdeg):
-        raise GraphError("extracted edges are not vertex-disjoint cycles")
     cycles = _edge_disjoint_cycles(cg.graph, off)
-    for cyc in cycles:
-        for v in cyc.vertices:
-            for pair in cg.transitions.pairs(v):
-                if _pair_hits(pair, cyc.edge_set()) > 1:
-                    raise GraphError("extracted cycle is not compatible")
+    if any(_cycle_incompatible(cg, cyc) for cyc in cycles):
+        raise GraphError("extracted cycle is not compatible")
     return cycles
 
 

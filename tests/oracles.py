@@ -327,3 +327,40 @@ def brute_cdc_containing(g: Multigraph, cycle_edges: frozenset[int]) -> bool:
         return False
 
     return rec(need)
+
+
+# ---------------------------------------------------------------------------
+# Brute-force compatible cycle decompositions
+# ---------------------------------------------------------------------------
+
+
+def brute_ccds(
+    g: Multigraph, pairs_at: tuple[tuple[frozenset[int], ...], ...]
+) -> list[frozenset[frozenset[int]]]:
+    """Every compatible cycle decomposition, as a family of cycle edge sets.
+
+    An exact cover of the edges by the cycles of ``brute_all_cycles`` that
+    hold at most one edge of each transition pair and no self-paired loop.
+    """
+    pairs = [pair for at_v in pairs_at for pair in at_v]
+    allowed = [
+        c
+        for c in brute_all_cycles(g)
+        if all(len(c & p) <= 1 and not (len(p) == 1 and p <= c) for p in pairs)
+    ]
+    out: list[frozenset[frozenset[int]]] = []
+    chosen: list[frozenset[int]] = []
+
+    def cover(uncovered: frozenset[int]) -> None:
+        if not uncovered:
+            out.append(frozenset(chosen))
+            return
+        e = min(uncovered)
+        for c in allowed:
+            if e in c and c <= uncovered:
+                chosen.append(c)
+                cover(uncovered - c)
+                chosen.pop()
+
+    cover(frozenset(range(g.m)))
+    return out

@@ -109,8 +109,14 @@ class TestStarConstruction:
         star = star_construction(inst.graph, inst.designated_ppm)
         assert cyclic_edge_connectivity_at_least(star.graph, 4)
 
-    def test_star_admits_cdc_through_complement(self):
-        inst = petersen()
+    @pytest.mark.parametrize(
+        "make",
+        [petersen, lambda: flower_snark(5), lambda: goldberg_snark(5)],
+        ids=["petersen", "flower5", "goldberg5"],
+    )
+    def test_star_admits_cdc_through_complement(self, make):
+        # The criterion-7 inputs; the G5 star has 120 vertices.
+        inst = make()
         star = star_construction(inst.graph, inst.designated_ppm)
         ccd = find_ccd(contract(star.graph, star.ppm))
         assert ccd is not None

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 
 import named
@@ -17,6 +19,7 @@ from snarkppm import (
     Multigraph,
     PseudoMatching,
     TransitionSystem,
+    blanusa_snark,
     cdc_from_ccd,
     ccd_from_coloring,
     chromatic_number,
@@ -162,6 +165,30 @@ class TestCCD:
         cg = ContractedGraph(g, t, (0,), (0, 1))
         ccd = find_ccd(cg)
         assert ccd is not None and len(ccd.cycles) == 2
+
+    def test_ccds_equal_brute_force_exact_covers(self, cubic_graphs_le8):
+        # Whole CCD sets, as families of edge sets, against exact covers.
+        cubics = [CubicGraph(g) for g in cubic_graphs_le8]
+        quotients = [(g3, m) for g3 in cubics for m in enumerate_ppms(g3)]
+        quotients += [(petersen().graph, m) for m in enumerate_ppms(petersen().graph)]
+        for inst in (
+            blanusa_snark(2, 1),
+            blanusa_snark(2, 2),
+            flower_snark(5),
+            flower_snark(7),
+        ):
+            ppms = list(islice(enumerate_ppms(inst.graph), 20))
+            quotients += [(inst.graph, m) for m in ppms + [inst.designated_ppm]]
+        assert len(quotients) == 106 + 26 + 4 * 21
+        for g, m in quotients:
+            cg = contract(g, m)
+            found = []
+            for ccd in enumerate_ccds(cg):
+                assert verify_ccd_compatible(cg, ccd) is None
+                found.append(frozenset(c.edge_set() for c in ccd.cycles))
+            assert len(set(found)) == len(found)
+            want = oracles.brute_ccds(cg.graph, cg.transitions.pairs_at)
+            assert set(found) == set(want)
 
     def test_every_ccd_respects_transitions_independently(self):
         inst = flower_snark(3)
