@@ -187,7 +187,8 @@ def _small_drawing(g: CubicGraph, m: PseudoMatching) -> Drawing:
     Every candidate is a plain draw_m_avoiding run with a rotated or
     reversed edge order; the smallest crossing list wins (first found).
     """
-    non_m = [e for e in range(g.graph.m) if e not in m.edge_set(g.graph)]
+    m_edges = m.edge_set(g.graph)
+    non_m = [e for e in range(g.graph.m) if e not in m_edges]
     stride = max(1, len(non_m) // 12)
     best: Drawing | None = None
     for shift in range(0, len(non_m), stride):
@@ -358,7 +359,8 @@ def _has_pocket(star: StarResult) -> bool:
 def _search_block_clean_star(g: CubicGraph, m: PseudoMatching) -> StarResult:
     """Star whose drawing avoids pocket cuts, if one shows up in a bounded
     deterministic search over edge insertion orders."""
-    non_m = [e for e in range(g.graph.m) if e not in m.edge_set(g.graph)]
+    m_edges = m.edge_set(g.graph)
+    non_m = [e for e in range(g.graph.m) if e not in m_edges]
     orders: list[list[int]] = []
     for shift in range(len(non_m)):
         orders.append(non_m[shift:] + non_m[:shift])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from .embedding import Dart, PlanarEmbedding, face_successor, trace_faces
 from .minors import is_planar
@@ -117,6 +117,19 @@ def _component_local(g: Multigraph, comp_of: dict[int, int], e: int, f: int) -> 
 # ---------------------------------------------------------------------------
 
 
+def _insert_across_face(
+    edges: Sequence[tuple[int, int]], rot: dict[int, list[Dart]], e: int,
+    da: Dart, db: Dart,
+) -> None:
+    """Put edge e = (tail(da), tail(db)) into rot across the face that has
+    da and db on its boundary: (e, 0) goes just before da, (e, 1) just
+    before db. This splits that face in two, so the rotation stays planar."""
+    ru = rot[edges[da[0]][da[1]]]
+    ru.insert(ru.index(da), (e, 0))
+    rv = rot[edges[db[0]][db[1]]]
+    rv.insert(rv.index(db), (e, 1))
+
+
 class _Planarizer:
     """Planar rotation system under edge insertion with crossings.
 
@@ -176,12 +189,8 @@ class _Planarizer:
     def connect_darts(self, da: Dart, db: Dart, owner: int) -> int:
         """Insert an edge from tail(da) to tail(db) across the face that has
         da and db on its boundary (validity is the caller's responsibility)."""
-        u, v = self.tail(da), self.tail(db)
-        e = self.seed_edge(u, v, owner)
-        ru = self.rot[u]
-        ru.insert(ru.index(da), (e, 0))
-        rv = self.rot[v]
-        rv.insert(rv.index(db), (e, 1))
+        e = self.seed_edge(self.tail(da), self.tail(db), owner)
+        _insert_across_face(self.edges, self.rot, e, da, db)
         return e
 
     def _find_route(
@@ -315,6 +324,12 @@ def draw_m_avoiding(
     per crossed segment. Crossing counts are heuristic, not minimal.
     ``edge_order`` varies the greedy consideration and routing order of the
     non-matching edges (default: ascending edge index).
+
+    The greedy (``_planar_subgraph``) keeps a rotation system of the kept
+    edges and accepts an edge that joins two components, is a loop, or
+    joins two vertices of one face; only the other edges take a left-right
+    planarity test, and every rejection comes from that test. The kept
+    set is re-embedded by ``is_planar`` to seed the planarization.
     """
     bad = validate_ppm(g, m)
     if bad is not None:
@@ -328,17 +343,15 @@ def draw_m_avoiding(
     if sorted(edge_order) != sorted(e for e in range(mg.m) if e not in m_set):
         raise GraphError("edge_order must list the non-matching edges")
 
-    kept = sorted(m_set)
-    for e in edge_order:
-        trial = sorted(kept + [e])
-        if is_planar(Multigraph(mg.n, [mg.edges[x] for x in trial])) is not None:
-            kept = trial
-    leftover = [e for e in edge_order if e not in kept]
+    kept = _planar_subgraph(mg, m_set, edge_order)
+    kept_set = set(kept)
+    leftover = [e for e in edge_order if e not in kept_set]
 
     sub = Multigraph(mg.n, [mg.edges[x] for x in kept])
     emb = is_planar(sub)
     if emb is None:
-        raise GraphError("planar subgraph stage failed")
+        # Not a property of the input: the greedy accepted a wrong edge.
+        raise RuntimeError("planar subgraph stage failed")
 
     pl = _Planarizer()
     for _ in range(mg.n):
@@ -353,6 +366,75 @@ def draw_m_avoiding(
     for e in leftover:
         router.route(pl, e, *mg.edges[e])
     return _finish_drawing(g, m, pl, router.crossings, router.dummies)
+
+
+def _planar_subgraph(
+    mg: Multigraph, m_set: set[int], edge_order: list[int]
+) -> list[int]:
+    """Greedy maximal planar subgraph: the edges of m_set, then each edge of
+    edge_order that keeps the kept set planar; returned sorted.
+
+    A rotation system of the kept edges, keyed by edge ids of mg, decides
+    each candidate e = (a, b) by the first rule that applies:
+
+    1. a and b lie in different components of the kept set: accept, with
+       the new darts anywhere in the rotations at a and b;
+    2. e is a loop, or a and b lie on a common face: accept, inserting e
+       across that face (a loop's two darts side by side);
+    3. otherwise run the left-right test on the kept set plus e; if it is
+       planar, accept and take that test's embedding as the new rotation,
+       since the old one may not extend.
+
+    Rules 1 and 2 are sufficient for planarity and every rejection comes
+    from the left-right test, so the kept set is exactly that of testing
+    every candidate.
+    """
+    comp = list(range(mg.n))  # union-find over the kept edges
+
+    def find(v: int) -> int:
+        while comp[v] != v:
+            comp[v] = comp[comp[v]]
+            v = comp[v]
+        return v
+
+    rot: dict[int, list[Dart]] = {v: [] for v in range(mg.n)}
+    kept: list[int] = []
+    for e in [*sorted(m_set), *edge_order]:
+        a, b = mg.edges[e]
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            comp[ra] = rb
+            rot[a].append((e, 0))
+            rot[b].append((e, 1))
+        elif a == b:
+            rot[a][:0] = [(e, 0), (e, 1)]
+        elif (pair := _shared_face(mg.edges, rot, a, b)) is not None:
+            _insert_across_face(mg.edges, rot, e, *pair)
+        else:
+            trial = sorted(kept + [e])
+            emb = is_planar(Multigraph(mg.n, [mg.edges[x] for x in trial]))
+            if emb is None:
+                continue
+            rot = {
+                v: [(trial[i], s) for i, s in ring]
+                for v, ring in emb.rotation.items()
+            }
+        kept.append(e)
+    return sorted(kept)
+
+
+def _shared_face(
+    edges: Sequence[tuple[int, int]], rot: dict[int, list[Dart]], a: int, b: int
+) -> tuple[Dart, Dart] | None:
+    """Darts at a and at b on one common face of rot, if there is one."""
+    _walks, face_of = trace_faces(edges, rot)
+    at_a: dict[int, Dart] = {}
+    for d in rot[a]:
+        at_a.setdefault(face_of[d], d)
+    for d in rot[b]:
+        if face_of[d] in at_a:
+            return at_a[face_of[d]], d
+    return None
 
 
 @dataclass

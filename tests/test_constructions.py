@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import named
+import snarkppm.drawing
 from snarkppm import (
     CCD,
     CubicGraph,
@@ -137,6 +138,20 @@ class TestStarConstruction:
         assert (find_3_edge_coloring(star.graph) is not None) == (
             find_3_edge_coloring(g) is not None
         )
+
+    def test_nonplanar_greedy_result_is_not_skipped(self, monkeypatch):
+        # A greedy that keeps a nonplanar edge set is a bug, not a bad edge
+        # order for the order search to pass over.
+        monkeypatch.setattr(
+            snarkppm.drawing,
+            "_planar_subgraph",
+            lambda mg, m_set, edge_order: list(range(mg.m)),
+        )
+        inst = petersen()
+        with pytest.raises(RuntimeError, match="planar subgraph stage failed"):
+            star_construction(inst.graph, inst.designated_ppm)
+        with pytest.raises(RuntimeError, match="planar subgraph stage failed"):
+            injectivity_experiment([(inst.graph, inst.designated_ppm)])
 
 
 class TestReplayOrder:

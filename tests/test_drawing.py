@@ -7,6 +7,7 @@ import pytest
 import named
 from snarkppm import (
     CubicGraph,
+    Multigraph,
     PLANARIZING,
     crossings_component_local,
     classify_ppm,
@@ -20,6 +21,7 @@ from snarkppm import (
     seek_planarizing_drawing,
     validate_drawing,
 )
+from snarkppm.drawing import _planar_subgraph
 
 
 class TestDrawMAvoiding:
@@ -71,6 +73,59 @@ class TestDrawMAvoiding:
         d = draw_m_avoiding(inst.graph, inst.designated_ppm)
         dot = drawing_to_dot(d)
         assert "square" in dot and "--" in dot
+
+
+def _small_drawing_orders(non_m: list[int]) -> list[list[int]]:
+    """The edge orders constructions._small_drawing tries, in its order."""
+    out = []
+    for shift in range(0, len(non_m), max(1, len(non_m) // 12)):
+        rotated = non_m[shift:] + non_m[:shift]
+        out += [rotated, list(reversed(rotated))]
+    return out
+
+
+class TestPlanarSubgraph:
+    def test_equals_one_test_per_edge_greedy(self, cubic_graphs_le8):
+        # K is the one-test-per-edge greedy set iff K holds M, K is planar
+        # and each edge left out closes a nonplanar graph with the edges of
+        # K before it: kept edges pass their test as subgraphs of K. This
+        # needs one networkx test per rejection instead of one per edge.
+        nx = pytest.importorskip("networkx")
+
+        def planar(mg: Multigraph, edge_ids: list[int]) -> bool:
+            return nx.check_planarity(nx.Graph([mg.edges[e] for e in edge_ids]))[0]
+
+        cases = []
+        for inst in (
+            blanusa_snark(2, 1), blanusa_snark(2, 2), flower_snark(5), flower_snark(7)
+        ):
+            g, m = inst.graph, inst.designated_ppm
+            m_set = m.edge_set(g.graph)
+            non_m = [e for e in range(g.graph.m) if e not in m_set]
+            cases += [(g, m_set, order) for order in _small_drawing_orders(non_m)]
+        graphs = [petersen().graph] + [CubicGraph(g) for g in cubic_graphs_le8]
+        graphs += [
+            CubicGraph(Multigraph(2, [(0, 1)] * 3)),
+            CubicGraph(Multigraph(4, [(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)])),
+        ]
+        for g in graphs:
+            for m in enumerate_ppms(g):
+                m_set = m.edge_set(g.graph)
+                non_m = [e for e in range(g.graph.m) if e not in m_set]
+                cases += [(g, m_set, non_m), (g, m_set, non_m[::-1])]
+        assert len(cases) == 418
+        for g, m_set, order in cases:
+            mg = g.graph
+            kept = _planar_subgraph(mg, m_set, order)
+            assert kept == sorted(set(kept))
+            assert m_set <= set(kept) <= m_set | set(order)
+            assert planar(mg, kept), (mg.edges, order)
+            before = sorted(m_set)
+            for e in order:
+                if e in kept:
+                    before.append(e)
+                else:
+                    assert not planar(mg, before + [e]), (mg.edges, order, e)
 
 
 class TestSeekPlanarizing:
