@@ -369,9 +369,9 @@ def _search_block_clean_star(g: CubicGraph, m: PseudoMatching) -> StarResult:
     for order in orders:
         try:
             drawing = draw_m_avoiding(g, m, edge_order=order)
-            star = star_construction(g, m, drawing=drawing)
         except GraphError:
             continue
+        star = star_construction(g, m, drawing=drawing)
         if best is None:
             best = star
         if not _has_pocket(star):

@@ -3,7 +3,9 @@
 Everything here is deliberately written with different techniques than the
 implementations under test: planarity via forbidden-minor partition
 enumeration, cuts via raw subset enumeration, pseudo-matchings via edge
-subset filtering, and a from-scratch graph6 decoder.
+subset filtering, perfect matchings by deciding the edges in index order,
+3-edge-colorability by Tait's perfect-matching criterion, and a
+from-scratch graph6 decoder.
 """
 
 from __future__ import annotations
@@ -244,22 +246,65 @@ def _is_ppm_edge_set(g: Multigraph, subset: tuple[int, ...]) -> bool:
 
 
 def brute_perfect_matchings(g: Multigraph) -> set[frozenset[int]]:
+    """Every perfect matching, by deciding the edges in index order: an edge
+    may join when both its ends are free, and a branch dies once it passes
+    the last edge of a vertex that is still free."""
+    last = [-1] * g.n
+    for e, (a, b) in enumerate(g.edges):
+        last[a] = last[b] = e
+    free = [True] * g.n
+    chosen: list[int] = []
     out = set()
-    if g.n % 2:
-        return out
-    for subset in combinations(range(g.m), g.n // 2):
-        seen = set()
-        ok = True
-        for e in subset:
-            a, b = g.edges[e]
-            if a == b or a in seen or b in seen:
-                ok = False
-                break
-            seen.add(a)
-            seen.add(b)
-        if ok and len(seen) == g.n:
-            out.add(frozenset(subset))
+
+    def decide(e: int) -> None:
+        if e == g.m:
+            if not any(free):
+                out.add(frozenset(chosen))
+            return
+        a, b = g.edges[e]
+        if a != b and free[a] and free[b]:
+            free[a] = free[b] = False
+            chosen.append(e)
+            decide(e + 1)
+            chosen.pop()
+            free[a] = free[b] = True
+        if not ((free[a] and last[a] == e) or (free[b] and last[b] == e)):
+            decide(e + 1)
+
+    decide(0)
     return out
+
+
+def brute_3_edge_colorable(g: Multigraph) -> bool:
+    """Tait's criterion for cubic graphs: 3-edge-colorable iff there is no
+    loop and some perfect matching leaves only even cycles, which then
+    alternate the other two colors."""
+    if any(a == b for a, b in g.edges):
+        return False
+    for pm in brute_perfect_matchings(g):
+        rest = [[] for _ in range(g.n)]
+        for e, (a, b) in enumerate(g.edges):
+            if e not in pm:
+                rest[a].append(b)
+                rest[b].append(a)
+        seen = [False] * g.n
+        odd = False
+        for s in range(g.n):
+            if seen[s]:
+                continue
+            seen[s] = True
+            stack = [s]
+            size = 0
+            while stack:
+                size += 1
+                for w in rest[stack.pop()]:
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append(w)
+            odd = odd or size % 2 == 1
+        if not odd:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

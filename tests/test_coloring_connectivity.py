@@ -12,6 +12,7 @@ from snarkppm import (
     CubicGraph,
     GraphError,
     Multigraph,
+    blanusa_snark,
     coloring_is_proper,
     cyclic_cuts_up_to,
     cyclic_edge_connectivity_at_least,
@@ -19,6 +20,8 @@ from snarkppm import (
     flower_graph,
     flower_snark,
     is_snark,
+    petersen,
+    star_construction,
 )
 
 
@@ -82,49 +85,57 @@ class TestColoring:
     def test_exhaustive_absence_agrees_with_brute_force_small(
         self, cubic_graphs_le8
     ):
-        # All cubic graphs on <= 8 vertices are 3-edge-colorable except none
-        # (the smallest snark has 10 vertices); verify via the matching
-        # characterization: some perfect matching leaves only even cycles.
+        # All cubic graphs on <= 8 vertices are 3-edge-colorable (the
+        # smallest snark has 10 vertices).
         for g in cubic_graphs_le8:
             col = find_3_edge_coloring(CubicGraph(g))
-            witness = False
-            for pm in oracles.brute_perfect_matchings(g):
-                rest = [e for e in range(g.m) if e not in pm]
-                comp_sizes = _cycle_lengths(g, rest)
-                if all(s % 2 == 0 for s in comp_sizes):
-                    witness = True
-                    break
-            assert (col is not None) == witness
+            assert (col is not None) == oracles.brute_3_edge_colorable(g)
             assert col is not None  # class-1 at this size
 
     def test_petersen_matching_characterization(self):
-        g = named.petersen_standard()
-        for pm in oracles.brute_perfect_matchings(g):
-            rest = [e for e in range(g.m) if e not in pm]
-            assert any(s % 2 for s in _cycle_lengths(g, rest))
+        assert not oracles.brute_3_edge_colorable(named.petersen_standard())
 
+    def test_agrees_with_oracle_on_random_cubic_multigraphs_and_snarks(self):
+        # Configuration-model pairings: loops and parallel edges included.
+        rng = random.Random(2027)
+        cases = []
+        for _ in range(150):
+            n = rng.choice((2, 4, 6, 8, 10, 12))
+            stubs = [v for v in range(n) for _ in range(3)]
+            rng.shuffle(stubs)
+            cases.append(Multigraph(n, zip(stubs[::2], stubs[1::2])))
+        cases.append(named.petersen_standard())
+        cases += [blanusa_snark(2, j).graph.graph for j in (1, 2)]
+        cases += [flower_graph(k) for k in range(3, 9)]
+        outcomes = set()
+        for g in cases:
+            col = find_3_edge_coloring(CubicGraph(g))
+            assert (col is not None) == oracles.brute_3_edge_colorable(g), g.edges
+            if col is not None:
+                assert coloring_is_proper(g, col)
+            outcomes.add((any(a == b for a, b in g.edges), col is None))
+        assert outcomes == {(True, True), (False, True), (False, False)}
 
-def _cycle_lengths(g: Multigraph, edges: list[int]) -> list[int]:
-    at = {}
-    for e in edges:
-        a, b = g.edges[e]
-        at.setdefault(a, []).append(e)
-        at.setdefault(b, []).append(e)
-    unused = set(edges)
-    out = []
-    while unused:
-        e0 = min(unused)
-        unused.discard(e0)
-        a, b = g.edges[e0]
-        length = 1
-        v = b
-        while v != a:
-            e = next(x for x in at[v] if x in unused)
-            unused.discard(e)
-            v = g.other_end(e, v)
-            length += 1
-        out.append(length)
-    return out
+    @pytest.mark.parametrize(
+        "make",
+        [
+            petersen,
+            lambda: blanusa_snark(2, 1),
+            lambda: blanusa_snark(2, 2),
+            lambda: flower_snark(5),
+        ],
+        ids=["petersen", "b18_1", "b18_2", "j5"],
+    )
+    def test_stars_uncolorable_under_relabeling(self, make):
+        # The criterion-7 stars drive the vertex rule deep into a proof of
+        # non-colorability; the vertex labels move the symmetry break.
+        inst = make()
+        star = star_construction(inst.graph, inst.designated_ppm).graph.graph
+        rng = random.Random(8)
+        for _ in range(3):
+            perm = list(range(star.n))
+            rng.shuffle(perm)
+            assert find_3_edge_coloring(CubicGraph(star.relabeled(perm))) is None
 
 
 class TestSnark:

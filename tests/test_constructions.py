@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import named
+import snarkppm.constructions
 import snarkppm.drawing
 from snarkppm import (
     CCD,
@@ -151,6 +152,14 @@ class TestStarConstruction:
         with pytest.raises(RuntimeError, match="planar subgraph stage failed"):
             star_construction(inst.graph, inst.designated_ppm)
         with pytest.raises(RuntimeError, match="planar subgraph stage failed"):
+            injectivity_experiment([(inst.graph, inst.designated_ppm)])
+
+    def test_failed_star_check_is_not_skipped(self, monkeypatch):
+        # Only a drawing that fails is a bad edge order; a star that fails
+        # its own checks is a bug and must surface.
+        monkeypatch.setattr(snarkppm.constructions, "classify_ppm", lambda g, m: None)
+        inst = petersen()
+        with pytest.raises(GraphError, match="failed to planarize"):
             injectivity_experiment([(inst.graph, inst.designated_ppm)])
 
 
