@@ -17,7 +17,7 @@ from .cycles import (
 )
 from .graph6 import parse_graph6
 from .minors import KMinorUndecidedError, is_planar
-from .multigraph import CubicGraph, GraphError, Multigraph
+from .multigraph import CubicGraph, GraphError, girth
 from .ppm import (
     K5_MINOR_FREE_ONLY,
     NEITHER,
@@ -104,31 +104,6 @@ class CensusReport:
         return "\n".join(lines) + "\n"
 
 
-def _girth(g: Multigraph) -> int:
-    best = g.n + 1
-    for s in range(g.n):
-        dist = {s: 0}
-        parent_edge = {s: -1}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for e in g.incident_edges(v):
-                    w = g.other_end(e, v)
-                    if w == v:
-                        return 1
-                    if e == parent_edge[v]:
-                        continue
-                    if w in dist:
-                        best = min(best, dist[v] + dist[w] + 1)
-                    else:
-                        dist[w] = dist[v] + 1
-                        parent_edge[w] = e
-                        nxt.append(w)
-            frontier = nxt
-    return best
-
-
 def _best_class(
     g: CubicGraph,
     perfect_matchings_only: bool,
@@ -182,7 +157,7 @@ def census_graph(
         snark = is_snark(g)
     except GraphError as exc:
         raise type(exc)(f"line {index}: {exc}") from None
-    verdict = GraphVerdict(index, g6, mg.n, snark, _girth(mg))
+    verdict = GraphVerdict(index, g6, mg.n, snark, girth(mg))
     if not verdict.is_snark:
         return verdict
 

@@ -208,13 +208,16 @@ def find_3_edge_coloring(g: CubicGraph) -> EdgeColoring | None:
             unc, two = saved_unc, saved_two
         return False
 
-    trail0: list[tuple[int, int]] = []
-    for bit, e in zip((1, 2, 4), sorted(at[0])):
-        if not assign(e, bit, trail0):
-            return None
-    if solve(unc):
-        return EdgeColoring({e: color[e].bit_length() for e in range(m)})
-    return None
+    try:
+        trail0: list[tuple[int, int]] = []
+        for bit, e in zip((1, 2, 4), sorted(at[0])):
+            if not assign(e, bit, trail0):
+                return None
+        if solve(unc):
+            return EdgeColoring({e: color[e].bit_length() for e in range(m)})
+        return None
+    finally:
+        del solve  # the closure refers to itself: free it without the GC
 
 
 def check_snark_input(g: CubicGraph) -> None:

@@ -17,7 +17,7 @@ from .connectivity import cyclic_cuts_up_to, cyclic_edge_connectivity_at_least
 from .cycles import CDC, Cycle, CycleSet, cycle_from_vertices, verify_cycle_set
 from .drawing import Drawing, draw_m_avoiding
 from .families import B0
-from .multigraph import CubicGraph, GraphError, Multigraph
+from .multigraph import CubicGraph, GraphError, Multigraph, girth
 from .ppm import (
     Component,
     K2Component,
@@ -186,7 +186,15 @@ def _small_drawing(g: CubicGraph, m: PseudoMatching) -> Drawing:
 
     Every candidate is a plain draw_m_avoiding run with a rotated or
     reversed edge order; the smallest crossing list wins (first found).
+    The search stops at a drawing with no more crossings than a lower bound
+    on every drawing: deleting one edge per crossing of a simple graph with
+    girth g leaves a planar graph of girth at least g, which has at most
+    g(n - 2)/(g - 2) edges. For a multigraph the bound is 0.
     """
+    floor = 0
+    if g.simple and g.n >= 3:
+        gi = girth(g.graph)
+        floor = g.graph.m - gi * (g.n - 2) // (gi - 2)
     m_edges = m.edge_set(g.graph)
     non_m = [e for e in range(g.graph.m) if e not in m_edges]
     stride = max(1, len(non_m) // 12)
@@ -200,7 +208,7 @@ def _small_drawing(g: CubicGraph, m: PseudoMatching) -> Drawing:
                 continue
             if best is None or len(d.crossings) < len(best.crossings):
                 best = d
-            if not best.crossings:
+            if len(best.crossings) <= floor:
                 return best
     if best is None:
         raise GraphError("no drawing produced")

@@ -242,7 +242,10 @@ def pairing_search(
                     mask[a2], mask[b2] = mask[a], mask[b]
                     size[a2], size[b2] = size[a], size[b]
 
-    return place(0)
+    try:
+        yield from place(0)
+    finally:
+        del place  # the closure refers to itself: free it without the GC
 
 
 def eulerian_trail_transitions(

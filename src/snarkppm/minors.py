@@ -457,7 +457,10 @@ def has_k5_minor(g: Multigraph, node_budget: int = DEFAULT_K5_BUDGET) -> bool:
             refuted.add(key)
         return found
 
-    return search(adj)
+    try:
+        return search(adj)
+    finally:
+        del search  # the closure refers to itself: free it without the GC
 
 
 def _bits(mask: int):

@@ -246,6 +246,40 @@ def check_cycle(g: Multigraph, c: Cycle) -> None:
             raise GraphError(f"cycle edge {c.edges[i]} does not join {a},{b}")
 
 
+def girth(g: Multigraph) -> int:
+    """Length of a shortest cycle (a loop is 1, parallel edges 2); n + 1 if
+    there is none.
+
+    A breadth-first search from each vertex; the search from s stops at the
+    depth d with 2d + 1 >= best, since an edge met from depth d or deeper
+    closes a walk through s of length at least 2d + 1.
+    """
+    best = g.n + 1
+    for s in range(g.n):
+        dist = {s: 0}
+        parent_edge = {s: -1}
+        frontier = [s]
+        depth = 0
+        while frontier and 2 * depth + 1 < best:
+            nxt = []
+            for v in frontier:
+                for e in g.incident_edges(v):
+                    w = g.other_end(e, v)
+                    if w == v:
+                        return 1
+                    if e == parent_edge[v]:
+                        continue
+                    if w in dist:
+                        best = min(best, dist[v] + dist[w] + 1)
+                    else:
+                        dist[w] = depth + 1
+                        parent_edge[w] = e
+                        nxt.append(w)
+            frontier = nxt
+            depth += 1
+    return best
+
+
 def is_dominating(g: CubicGraph, cycle_vertices: set[int]) -> bool:
     for a, b in g.graph.edges:
         if a not in cycle_vertices and b not in cycle_vertices:

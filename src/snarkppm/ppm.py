@@ -209,7 +209,10 @@ def enumerate_ppms(
             for x in touched:
                 covered[x] = False
 
-    yield from rec(0)
+    try:
+        yield from rec(0)
+    finally:
+        del rec  # the closure refers to itself: free it without the GC
 
 
 def complement_cycles(g: CubicGraph, m: PseudoMatching) -> list[Cycle]:

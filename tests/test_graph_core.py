@@ -8,15 +8,21 @@ import pytest
 
 import named
 import oracles
+from snarkppm import canonical
+from snarkppm.multigraph import girth
 from snarkppm import (
     CubicGraph,
     Graph6Error,
     GraphError,
     Multigraph,
     are_isomorphic,
+    blanusa_snark,
     canonical_form,
+    flower_snark,
+    goldberg_snark,
     parse_edge_list,
     parse_graph6,
+    star_construction,
     write_edge_list,
     write_graph6,
 )
@@ -57,6 +63,19 @@ class TestMultigraph:
     def test_edge_list_header_checked(self):
         with pytest.raises(GraphError):
             parse_edge_list("2 3\n0 1\n")
+
+    def test_girth_is_the_shortest_brute_force_cycle(self, cubic_graphs_le8):
+        rng = random.Random(2029)
+        graphs = list(cubic_graphs_le8)
+        graphs += [make() for make in named.EQUIVALENCE_CORPUS.values()]
+        graphs += [named.k5(), flower_snark(5).graph.graph, blanusa_snark(2, 1).graph.graph]
+        graphs += [_configuration_cubic(rng, n) for n in (2, 4, 6, 8, 10) for _ in range(20)]
+        graphs.append(Multigraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
+        assert any(a == b for g in graphs for a, b in g.edges)
+        assert any(not g.is_simple() and g.is_connected() for g in graphs)
+        for g in graphs:
+            cycles = oracles.brute_all_cycles(g)
+            assert girth(g) == min((len(c) for c in cycles), default=g.n + 1), g.edges
 
 
 class TestGraph6:
@@ -139,25 +158,134 @@ class TestGraph6:
         assert back.n == 80 and back.edges == ((0, 79),)
 
 
+def _relabel(g: Multigraph, rng: random.Random) -> Multigraph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabeled(perm)
+
+
+def _configuration_cubic(rng: random.Random, n: int) -> Multigraph:
+    """A random pairing of three stubs per vertex: loops and parallel edges
+    included."""
+    stubs = [v for v in range(n) for _ in range(3)]
+    rng.shuffle(stubs)
+    return Multigraph(n, zip(stubs[::2], stubs[1::2]))
+
+
+def _symmetric_graphs() -> dict[str, Multigraph]:
+    graphs = {
+        "petersen": named.petersen_standard(),
+        "b18_1": blanusa_snark(2, 1).graph.graph,
+        "b18_2": blanusa_snark(2, 2).graph.graph,
+        "j5": flower_snark(5).graph.graph,
+        "j7": flower_snark(7).graph.graph,
+        "g5": goldberg_snark(5).graph.graph,
+        "desargues": named.generalized_petersen(10, 3),
+        "moebius_kantor": named.generalized_petersen(8, 3),
+        "tietze": named.tietze(),
+    }
+    for k in (3, 5, 12, 30):
+        graphs[f"prism{2 * k}"] = named.generalized_petersen(k, 1)
+        graphs[f"moebius{2 * k}"] = named.moebius_ladder(k)
+    return graphs
+
+
 class TestCanonical:
     def test_equal_forms_iff_isomorphic_small(self, connected_graphs_le8):
-        # Distinctness across all 6-vertex connected graphs: no two different
-        # classes may share a form (the generator already separated classes).
-        forms = [canonical_form(g) for g in connected_graphs_le8[6]]
-        assert len(set(forms)) == len(forms)
+        # The corpus holds one graph per isomorphism class, so the 12113
+        # forms must all differ; each must survive a relabeling.
+        rng = random.Random(3)
+        forms = set()
+        for n in range(1, 9):
+            for g in connected_graphs_le8[n]:
+                form = canonical_form(g)
+                assert canonical_form(_relabel(g, rng)) == form, g.edges
+                forms.add(form)
+        assert len(forms) == 12113
 
     def test_relabeling_invariance(self):
         rng = random.Random(3)
-        for g in (named.petersen_standard(), named.tietze(), named.prism()):
+        for name, g in _symmetric_graphs().items():
             base = canonical_form(g)
             for _ in range(100):
-                perm = list(range(g.n))
-                rng.shuffle(perm)
-                assert canonical_form(g.relabeled(perm)) == base
+                assert canonical_form(_relabel(g, rng)) == base, name
+
+    def test_relabeling_invariance_on_the_g5_star(self):
+        inst = goldberg_snark(5)
+        g = star_construction(inst.graph, inst.designated_ppm).graph.graph
+        assert g.n == 120
+        rng = random.Random(5)
+        base = canonical_form(g)
+        for _ in range(3):
+            assert canonical_form(_relabel(g, rng)) == base
+
+    def test_random_cubic_multigraphs(self):
+        rng = random.Random(2028)
+        by_n: dict[int, list[Multigraph]] = {}
+        for _ in range(200):
+            n = rng.randrange(2, 32, 2)
+            g = _configuration_cubic(rng, n)
+            assert canonical_form(_relabel(g, rng)) == canonical_form(g), g.edges
+            by_n.setdefault(n, []).append(g)
+        assert any(a == b for gs in by_n.values() for g in gs for a, b in g.edges)
+        nx = pytest.importorskip("networkx")
+
+        def to_nx(g: Multigraph):
+            h = nx.MultiGraph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges)
+            return h
+
+        verdicts = set()
+        for gs in by_n.values():
+            for a, b in zip(gs, gs[1:]):
+                iso = nx.is_isomorphic(to_nx(a), to_nx(b))
+                assert are_isomorphic(a, b) == iso, (a.edges, b.edges)
+                verdicts.add(iso)
+        assert verdicts == {True, False}
+
+    def test_pruned_search_finds_the_greatest_leaf(self, connected_graphs_le8):
+        # Against the whole unpruned tree: the canonical form must be the
+        # relabeled edge list of the leaf with the greatest certificate
+        # (traces, then edges). The small corpus graphs almost never have
+        # leaves with different traces; the cubic graphs with few
+        # automorphisms do.
+        graphs = [g for n in range(1, 8) for g in connected_graphs_le8[n]]
+        graphs += [named.frucht(), named.tietze(), named.durer(), named.petersen_standard()]
+        graphs += [flower_snark(5).graph.graph, blanusa_snark(2, 1).graph.graph]
+        graphs.append(Multigraph(4, [(0, 0), (0, 1), (1, 2), (1, 2), (2, 3), (3, 3)]))
+        for g in graphs:
+            adj = canonical._weighted_adjacency(g)
+            col, cells, trace = canonical._root(g, adj)
+            stack = [(col, cells, [trace])]
+            best = None
+            while stack:
+                col, cells, traces = stack.pop()
+                target = next((s for s, c in enumerate(cells) if c and len(c) > 1), None)
+                if target is None:
+                    leaf = (traces, canonical._relabeled_edges(g, col))
+                    best = leaf if best is None else max(best, leaf)
+                    continue
+                for v in cells[target]:
+                    child_col, child_cells = list(col), list(cells)
+                    t = canonical._individualize(adj, child_col, child_cells, target, v)
+                    stack.append((child_col, child_cells, traces + [t]))
+            assert canonical_form(g).canonical_edge_list == best[1], g.edges
+
+    def test_recorded_automorphisms_map_edges_onto_edges(self, cubic_graphs_le8):
+        graphs = list(_symmetric_graphs().values()) + cubic_graphs_le8
+        graphs.append(Multigraph(3, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2)]))
+        recorded = 0
+        for g in graphs:
+            edges = sorted(tuple(sorted(e)) for e in g.edges)
+            for aut in canonical._search(g)[1]:
+                assert sorted(aut) == list(range(g.n))
+                image = sorted(tuple(sorted((aut[a], aut[b]))) for a, b in g.edges)
+                assert image == edges
+                recorded += 1
+        assert recorded >= len(graphs)
 
     def test_petersen_vs_flower_not_isomorphic(self):
-        from snarkppm import flower_snark
-
         j5 = flower_snark(5).graph.graph
         assert not are_isomorphic(named.petersen_standard(), j5)
 
