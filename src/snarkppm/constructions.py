@@ -15,7 +15,7 @@ from .canonical import are_isomorphic
 from .coloring import is_snark
 from .connectivity import cyclic_cuts_up_to, cyclic_edge_connectivity_at_least
 from .cycles import CDC, Cycle, CycleSet, cycle_from_vertices, verify_cycle_set
-from .drawing import Drawing, draw_m_avoiding
+from .drawing import Drawing, _DrawingSearch
 from .families import B0
 from .multigraph import CubicGraph, GraphError, Multigraph, girth
 from .ppm import (
@@ -184,9 +184,11 @@ def star_construction(
 def _small_drawing(g: CubicGraph, m: PseudoMatching) -> Drawing:
     """Fewest-crossing drawing over a bounded deterministic order search.
 
-    Every candidate is a plain draw_m_avoiding run with a rotated or
-    reversed edge order; the smallest crossing list wins (first found).
-    The search stops at a drawing with no more crossings than a lower bound
+    Every candidate is the draw_m_avoiding drawing of a rotated or reversed
+    edge order; the smallest crossing list wins (first found). The
+    candidates are routed by one ``_DrawingSearch``, so they share its
+    planarity answers, and only the winner is finished and validated. The
+    search stops at a drawing with no more crossings than a lower bound
     on every drawing: deleting one edge per crossing of a simple graph with
     girth g leaves a planar graph of girth at least g, which has at most
     g(n - 2)/(g - 2) edges. For a multigraph the bound is 0.
@@ -195,24 +197,24 @@ def _small_drawing(g: CubicGraph, m: PseudoMatching) -> Drawing:
     if g.simple and g.n >= 3:
         gi = girth(g.graph)
         floor = g.graph.m - gi * (g.n - 2) // (gi - 2)
-    m_edges = m.edge_set(g.graph)
-    non_m = [e for e in range(g.graph.m) if e not in m_edges]
+    search = _DrawingSearch(g, m)
+    non_m = search.non_m
     stride = max(1, len(non_m) // 12)
-    best: Drawing | None = None
+    best = None
     for shift in range(0, len(non_m), stride):
         rotated = non_m[shift:] + non_m[:shift]
         for order in (rotated, list(reversed(rotated))):
             try:
-                d = draw_m_avoiding(g, m, edge_order=order)
+                c = search.route(order)
             except GraphError:
                 continue
-            if best is None or len(d.crossings) < len(best.crossings):
-                best = d
+            if best is None or len(c.crossings) < len(best.crossings):
+                best = c
             if len(best.crossings) <= floor:
-                return best
+                return search.finish(best)
     if best is None:
         raise GraphError("no drawing produced")
-    return best
+    return search.finish(best)
 
 
 def _find_span(span_list: list[_Span], ci: int) -> tuple[_Span, int]:
@@ -366,9 +368,10 @@ def _has_pocket(star: StarResult) -> bool:
 
 def _search_block_clean_star(g: CubicGraph, m: PseudoMatching) -> StarResult:
     """Star whose drawing avoids pocket cuts, if one shows up in a bounded
-    deterministic search over edge insertion orders."""
-    m_edges = m.edge_set(g.graph)
-    non_m = [e for e in range(g.graph.m) if e not in m_edges]
+    deterministic search over edge insertion orders (one
+    ``_DrawingSearch``, so the orders share its planarity answers)."""
+    search = _DrawingSearch(g, m)
+    non_m = search.non_m
     orders: list[list[int]] = []
     for shift in range(len(non_m)):
         orders.append(non_m[shift:] + non_m[:shift])
@@ -376,10 +379,10 @@ def _search_block_clean_star(g: CubicGraph, m: PseudoMatching) -> StarResult:
     best: StarResult | None = None
     for order in orders:
         try:
-            drawing = draw_m_avoiding(g, m, edge_order=order)
+            c = search.route(order)
         except GraphError:
             continue
-        star = star_construction(g, m, drawing=drawing)
+        star = star_construction(g, m, drawing=search.finish(c))
         if best is None:
             best = star
         if not _has_pocket(star):

@@ -327,49 +327,140 @@ def draw_m_avoiding(
 
     The greedy (``_planar_subgraph``) keeps a rotation system of the kept
     edges and accepts an edge that joins two components, is a loop, or
-    joins two vertices of one face; only the other edges take a left-right
-    planarity test, and every rejection comes from that test. The kept
-    set is re-embedded by ``is_planar`` to seed the planarization.
+    joins two vertices of one face; only the other edges take a planarity
+    test, and every rejection comes from that test. The kept set is
+    re-embedded by ``is_planar`` to seed the planarization, so the drawing
+    depends only on g, m and the order. This is one candidate of a
+    ``_DrawingSearch``, which draws many orders of one (g, m) and shares
+    their planarity answers.
     """
-    bad = validate_ppm(g, m)
-    if bad is not None:
-        raise GraphError(f"invalid PPM: {bad.message}")
-    mg = g.graph
-    if not mg.is_connected():
-        raise GraphError("drawing requires a connected graph")
-    m_set = m.edge_set(mg)
+    search = _DrawingSearch(g, m)
     if edge_order is None:
-        edge_order = [e for e in range(mg.m) if e not in m_set]
-    if sorted(edge_order) != sorted(e for e in range(mg.m) if e not in m_set):
-        raise GraphError("edge_order must list the non-matching edges")
+        edge_order = search.non_m
+    return search.finish(search.route(edge_order))
 
-    kept = _planar_subgraph(mg, m_set, edge_order)
-    kept_set = set(kept)
-    leftover = [e for e in edge_order if e not in kept_set]
 
-    sub = Multigraph(mg.n, [mg.edges[x] for x in kept])
-    emb = is_planar(sub)
-    if emb is None:
-        # Not a property of the input: the greedy accepted a wrong edge.
-        raise RuntimeError("planar subgraph stage failed")
+class _PlanarityMemo:
+    """Planarity of edge sets of one graph, the sets as int masks of its
+    edge ids.
 
-    pl = _Planarizer()
-    for _ in range(mg.n):
-        pl.new_vertex()
-    for orig in kept:
-        pl.seed_edge(*mg.edges[orig], orig)
-    # Planarizer edge i mirrors sub edge i (both enumerate kept in order).
-    for v in range(mg.n):
-        pl.rot[v] = list(emb.rotation[v])
+    A set that contains a set known to be nonplanar is nonplanar. A set
+    inside a set known to be planar is planar, with that set's rotation
+    restricted to its edges: deleting edges keeps an embedding plane. Any
+    other set takes one left-right test, whose answer is recorded; only
+    the minimal known nonplanar and the maximal known planar sets are
+    kept. Every answer is exact; only the rotation may differ from the
+    left-right test's own.
+    """
 
-    router = _Router(mg, m_set, set())
-    for e in leftover:
-        router.route(pl, e, *mg.edges[e])
-    return _finish_drawing(g, m, pl, router.crossings, router.dummies)
+    def __init__(self, mg: Multigraph) -> None:
+        self.mg = mg
+        self.nonplanar: list[int] = []
+        self.planar: list[tuple[int, dict[int, list[Dart]]]] = []
+        self.embeddings: dict[tuple[int, ...], PlanarEmbedding | None] = {}
+
+    def _subgraph(self, edge_ids: Sequence[int]) -> Multigraph:
+        return Multigraph(self.mg.n, [self.mg.edges[x] for x in edge_ids])
+
+    def rotation(self, mask: int) -> dict[int, list[Dart]] | None:
+        """A planar rotation system of the edge set mask, keyed by edge ids
+        of the graph (fresh lists the caller may change), or None if that
+        set is nonplanar."""
+        if any(bad & mask == bad for bad in self.nonplanar):
+            return None
+        for known, rot in self.planar:
+            if known & mask == mask:
+                return {
+                    v: [d for d in ring if mask >> d[0] & 1] for v, ring in rot.items()
+                }
+        ids = [x for x in range(self.mg.m) if mask >> x & 1]
+        emb = is_planar(self._subgraph(ids))
+        if emb is None:
+            self.nonplanar = [bad for bad in self.nonplanar if bad & mask != mask]
+            self.nonplanar.append(mask)
+            return None
+        rot = {v: [(ids[i], s) for i, s in ring] for v, ring in emb.rotation.items()}
+        self.planar = [(k, r) for k, r in self.planar if k & mask != k]
+        self.planar.append((mask, rot))
+        return {v: list(ring) for v, ring in rot.items()}
+
+    def embedding(self, kept: list[int]) -> PlanarEmbedding | None:
+        """``is_planar`` of the subgraph on the edges kept (sorted), which
+        numbers its edges in that order; one test per distinct set."""
+        key = tuple(kept)
+        if key not in self.embeddings:
+            self.embeddings[key] = is_planar(self._subgraph(kept))
+        return self.embeddings[key]
+
+
+@dataclass
+class _Candidate:
+    """A routed drawing of one edge order, not yet finished."""
+
+    pl: _Planarizer
+    crossings: list[tuple[int, int]]
+    dummies: list[int]
+
+
+class _DrawingSearch:
+    """Candidate drawings of one (g, m) under different edge orders.
+
+    The inputs are validated once, and the candidates share one
+    ``_PlanarityMemo``. A candidate is only routed; ``finish`` builds and
+    validates the drawing of the one the caller keeps.
+    """
+
+    def __init__(self, g: CubicGraph, m: PseudoMatching) -> None:
+        bad = validate_ppm(g, m)
+        if bad is not None:
+            raise GraphError(f"invalid PPM: {bad.message}")
+        mg = g.graph
+        if not mg.is_connected():
+            raise GraphError("drawing requires a connected graph")
+        self.g, self.m, self.mg = g, m, mg
+        self.m_set = m.edge_set(mg)
+        self.non_m = [e for e in range(mg.m) if e not in self.m_set]
+        self.memo = _PlanarityMemo(mg)
+
+    def route(self, edge_order: list[int]) -> _Candidate:
+        """Greedy planar subgraph under edge_order, then the leftover edges
+        routed in that order; raises GraphError if a route fails."""
+        mg = self.mg
+        if sorted(edge_order) != self.non_m:
+            raise GraphError("edge_order must list the non-matching edges")
+        kept = _planar_subgraph(mg, self.m_set, edge_order, self.memo)
+        emb = self.memo.embedding(kept)
+        if emb is None:
+            # Not a property of the input: the greedy accepted a wrong edge.
+            raise RuntimeError("planar subgraph stage failed")
+
+        pl = _Planarizer()
+        for _ in range(mg.n):
+            pl.new_vertex()
+        for orig in kept:
+            pl.seed_edge(*mg.edges[orig], orig)
+        # Planarizer edge i mirrors embedded edge i (both enumerate kept in order).
+        for v in range(mg.n):
+            pl.rot[v] = list(emb.rotation[v])
+
+        kept_set = set(kept)
+        router = _Router(mg, self.m_set, set())
+        for e in edge_order:
+            if e not in kept_set:
+                router.route(pl, e, *mg.edges[e])
+        return _Candidate(pl, router.crossings, router.dummies)
+
+    def finish(self, c: _Candidate) -> Drawing:
+        """The validated drawing of a candidate; a drawing that fails its
+        checks is a fault of this module, not of the edge order."""
+        try:
+            return _finish_drawing(self.g, self.m, c.pl, c.crossings, c.dummies)
+        except GraphError as exc:
+            raise RuntimeError(f"routed drawing failed validation: {exc}") from exc
 
 
 def _planar_subgraph(
-    mg: Multigraph, m_set: set[int], edge_order: list[int]
+    mg: Multigraph, m_set: set[int], edge_order: list[int], memo: _PlanarityMemo
 ) -> list[int]:
     """Greedy maximal planar subgraph: the edges of m_set, then each edge of
     edge_order that keeps the kept set planar; returned sorted.
@@ -381,13 +472,13 @@ def _planar_subgraph(
        the new darts anywhere in the rotations at a and b;
     2. e is a loop, or a and b lie on a common face: accept, inserting e
        across that face (a loop's two darts side by side);
-    3. otherwise run the left-right test on the kept set plus e; if it is
-       planar, accept and take that test's embedding as the new rotation,
-       since the old one may not extend.
+    3. otherwise ask memo (a ``_PlanarityMemo`` of mg, which may be shared
+       by every order of one search) about the kept set plus e; if it is
+       planar, accept and take the memo's rotation as the new one, since
+       the old one may not extend.
 
-    Rules 1 and 2 are sufficient for planarity and every rejection comes
-    from the left-right test, so the kept set is exactly that of testing
-    every candidate.
+    Rules 1 and 2 are sufficient for planarity and the memo is exact, so
+    the kept set is exactly that of testing every candidate.
     """
     comp = list(range(mg.n))  # union-find over the kept edges
 
@@ -399,6 +490,7 @@ def _planar_subgraph(
 
     rot: dict[int, list[Dart]] = {v: [] for v in range(mg.n)}
     kept: list[int] = []
+    mask = 0
     for e in [*sorted(m_set), *edge_order]:
         a, b = mg.edges[e]
         ra, rb = find(a), find(b)
@@ -411,29 +503,28 @@ def _planar_subgraph(
         elif (pair := _shared_face(mg.edges, rot, a, b)) is not None:
             _insert_across_face(mg.edges, rot, e, *pair)
         else:
-            trial = sorted(kept + [e])
-            emb = is_planar(Multigraph(mg.n, [mg.edges[x] for x in trial]))
-            if emb is None:
+            trial = memo.rotation(mask | 1 << e)
+            if trial is None:
                 continue
-            rot = {
-                v: [(trial[i], s) for i, s in ring]
-                for v, ring in emb.rotation.items()
-            }
+            rot = trial
         kept.append(e)
+        mask |= 1 << e
     return sorted(kept)
 
 
 def _shared_face(
     edges: Sequence[tuple[int, int]], rot: dict[int, list[Dart]], a: int, b: int
 ) -> tuple[Dart, Dart] | None:
-    """Darts at a and at b on one common face of rot, if there is one."""
-    _walks, face_of = trace_faces(edges, rot)
-    at_a: dict[int, Dart] = {}
-    for d in rot[a]:
-        at_a.setdefault(face_of[d], d)
-    for d in rot[b]:
-        if face_of[d] in at_a:
-            return at_a[face_of[d]], d
+    """Darts at a and at b on one common face of rot, if there is one.
+    Only the faces at a are walked."""
+    seen: set[Dart] = set()
+    for da in rot[a]:
+        d = da
+        while d not in seen:
+            if edges[d[0]][d[1]] == b:
+                return da, d
+            seen.add(d)
+            d = face_successor(edges, rot, d)
     return None
 
 

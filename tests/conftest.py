@@ -45,7 +45,10 @@ def connected_graphs(n: int) -> list[Multigraph]:
     path = _corpus_path(n)
     if os.path.exists(path):
         with open(path, encoding="ascii") as fh:
-            return [parse_graph6(line) for line in fh if line.strip()]
+            graphs = [parse_graph6(line) for line in fh if line.strip()]
+        # A truncated cache would shrink the correctness corpus in silence.
+        assert len(graphs) == CONNECTED_COUNTS[n], f"{path} holds {len(graphs)} graphs"
+        return graphs
     os.makedirs(_CACHE, exist_ok=True)
     levels = _generate_all_graphs(n)
     for k in range(1, n + 1):

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import random
+import sys
+
 import pytest
 
 import named
@@ -13,6 +18,7 @@ from snarkppm import (
     GraphError,
     PLANARIZING,
     are_isomorphic,
+    blanusa_snark,
     cdc_from_ccd,
     classify_ppm,
     contract,
@@ -31,6 +37,7 @@ from snarkppm import (
     star_construction,
     suppress_degree_two,
     through_path_subgraph,
+    validate_drawing,
     verify_cycle_set,
 )
 
@@ -146,13 +153,24 @@ class TestStarConstruction:
         monkeypatch.setattr(
             snarkppm.drawing,
             "_planar_subgraph",
-            lambda mg, m_set, edge_order: list(range(mg.m)),
+            lambda mg, m_set, edge_order, memo: list(range(mg.m)),
         )
         inst = petersen()
         with pytest.raises(RuntimeError, match="planar subgraph stage failed"):
             star_construction(inst.graph, inst.designated_ppm)
         with pytest.raises(RuntimeError, match="planar subgraph stage failed"):
             injectivity_experiment([(inst.graph, inst.designated_ppm)])
+
+    def test_winner_failing_validation_is_not_skipped(self, monkeypatch):
+        # Only the winning drawing is finished and validated; a winner that
+        # fails is a bug, not a bad edge order.
+        def broken(d):
+            raise GraphError("broken on purpose")
+
+        monkeypatch.setattr(snarkppm.drawing, "validate_drawing", broken)
+        inst = petersen()
+        with pytest.raises(RuntimeError, match="failed validation: broken"):
+            star_construction(inst.graph, inst.designated_ppm)
 
     def test_failed_star_check_is_not_skipped(self, monkeypatch):
         # Only a drawing that fails is a bad edge order; a star that fails
@@ -163,10 +181,45 @@ class TestStarConstruction:
             injectivity_experiment([(inst.graph, inst.designated_ppm)])
 
 
+def _bench_relabel():
+    """``relabel`` of the benchmark's workloads: vertices permuted, edges
+    reordered and reoriented, the PPM carried over."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.relabel
+
+
+class TestSmallDrawing:
+    @pytest.mark.parametrize(
+        "make, crossings",
+        [
+            (petersen, 2),
+            (lambda: blanusa_snark(2, 1), 4),
+            (lambda: blanusa_snark(2, 2), 3),
+        ],
+        ids=["petersen", "b18_1", "b18_2"],
+    )
+    def test_crossing_counts_pinned(self, make, crossings):
+        # The counts of the order search on the benchmark's star inputs,
+        # unrelabeled and on 25 seeded relabelings each.
+        from snarkppm.constructions import _small_drawing
+
+        relabel = _bench_relabel()
+        inst = make()
+        rng = random.Random(1010)
+        copies = [(inst.graph, inst.designated_ppm)]
+        copies += [relabel(inst.graph, inst.designated_ppm, rng) for _ in range(25)]
+        for g, m in copies:
+            d = _small_drawing(g, m)
+            validate_drawing(d)
+            assert len(d.crossings) == crossings, g.graph.edges
+
+
 class TestReplayOrder:
     def test_replacement_order_does_not_change_star_up_to_isomorphism(self):
-        import random
-
         from snarkppm.constructions import (
             _ATTACH,
             _Span,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import named
@@ -21,7 +23,10 @@ from snarkppm import (
     seek_planarizing_drawing,
     validate_drawing,
 )
-from snarkppm.drawing import _planar_subgraph
+import snarkppm.drawing
+from snarkppm.drawing import _PlanarityMemo, _planar_subgraph
+from snarkppm.embedding import PlanarEmbedding
+from snarkppm.minors import is_planar
 
 
 class TestDrawMAvoiding:
@@ -114,9 +119,14 @@ class TestPlanarSubgraph:
                 non_m = [e for e in range(g.graph.m) if e not in m_set]
                 cases += [(g, m_set, non_m), (g, m_set, non_m[::-1])]
         assert len(cases) == 418
+        # One memo per (graph, PPM) across its orders, as one drawing search
+        # shares it, must keep the same sets as a fresh memo per order.
+        shared: dict[tuple, _PlanarityMemo] = {}
         for g, m_set, order in cases:
             mg = g.graph
-            kept = _planar_subgraph(mg, m_set, order)
+            kept = _planar_subgraph(mg, m_set, order, _PlanarityMemo(mg))
+            memo = shared.setdefault((id(g), frozenset(m_set)), _PlanarityMemo(mg))
+            assert _planar_subgraph(mg, m_set, order, memo) == kept
             assert kept == sorted(set(kept))
             assert m_set <= set(kept) <= m_set | set(order)
             assert planar(mg, kept), (mg.edges, order)
@@ -126,6 +136,63 @@ class TestPlanarSubgraph:
                     before.append(e)
                 else:
                     assert not planar(mg, before + [e]), (mg.edges, order, e)
+
+
+class TestPlanarityMemo:
+    @pytest.mark.parametrize(
+        "mg",
+        [
+            petersen().graph.graph,
+            blanusa_snark(2, 1).graph.graph,
+            flower_snark(5).graph.graph,
+            Multigraph(2, [(0, 1)] * 3),
+            Multigraph(4, [(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3), (3, 3)]),
+            Multigraph(
+                6,
+                [(a, b) for a in range(3) for b in range(3, 6)]
+                + [(0, 3), (1, 4), (2, 2), (5, 5)],
+            ),
+            Multigraph(5, [(a, b) for a in range(5) for b in range(a + 1, 5)] * 2),
+        ],
+        ids=["petersen", "b18_1", "j5", "theta", "loops", "k33_multi", "k5_multi"],
+    )
+    def test_answers_equal_is_planar(self, mg, monkeypatch):
+        # Nested random edge sets, asked in shuffled order, so that answers
+        # come from known nonplanar subsets and known planar supersets as
+        # well as from fresh tests. Each answer must be is_planar's, and
+        # each rotation an embedding of exactly the asked edges.
+        tests = []
+
+        def counted(graph):
+            tests.append(graph)
+            return is_planar(graph)
+
+        monkeypatch.setattr(snarkppm.drawing, "is_planar", counted)
+        rng = random.Random(mg.n * 1000 + mg.m)
+        memo = _PlanarityMemo(mg)
+        answered = {(fresh, planar): 0 for fresh in (0, 1) for planar in (0, 1)}
+        for _ in range(12):
+            order = list(range(mg.m))
+            rng.shuffle(order)
+            masks = [sum(1 << e for e in order[:k]) for k in range(mg.m + 1)]
+            rng.shuffle(masks)
+            for mask in masks:
+                before = len(tests)
+                rot = memo.rotation(mask)
+                ids = [e for e in range(mg.m) if mask >> e & 1]
+                sub = Multigraph(mg.n, [mg.edges[e] for e in ids])
+                assert (rot is not None) == (is_planar(sub) is not None), ids
+                answered[len(tests) - before, rot is not None] += 1
+                if rot is None:
+                    continue
+                darts = [d for ring in rot.values() for d in ring]
+                assert sorted(darts) == [(e, s) for e in ids for s in (0, 1)], ids
+                index = {e: i for i, e in enumerate(ids)}
+                local = {v: [(index[e], s) for e, s in ring] for v, ring in rot.items()}
+                PlanarEmbedding(sub, local).verify_euler()
+        assert answered[0, 1] and answered[1, 1], answered
+        if answered[1, 0]:
+            assert answered[0, 0], answered
 
 
 class TestSeekPlanarizing:
