@@ -10,13 +10,25 @@ even number of edges. These cycles span the cycle space, whose orthogonal
 complement is the cut space, so XOR 0 means S = delta(X) for a vertex set X.
 With full-width labels no non-cut passes as a candidate.
 
-Join: meet in the middle. The floor(c/2)-subsets go into a dict keyed by
-their XOR; each ceil(c/2)-subset looks up its own XOR, and a pair counts only
-when all of its first half comes first, so each zero-XOR c-set comes out once.
+Join: meet in the middle, ordered. A c-set splits into its floor(c/2) least
+edges and the rest. The second halves are taken by their least edge i, in
+ascending order, and each one's XOR is looked up in a dict of first halves
+keyed by XOR. A first half enters the dict just before the first i above
+its last edge, so every hit is a c-set with XOR 0, found once; a set is
+built only on a hit.
 
 If K is a cyclic component of G - S, then delta(V(K)) lies in S and is itself
 a cyclic cut, so every cyclic cut is a zero-XOR cyclic cut plus zero or more
 edges. Candidates of both kinds are checked with ``_is_cyclic_cut``.
+
+Component count from the rank: the zero-XOR subsets of S are the cuts
+delta(X) for X a union of components of G - S, 2^(c-1) of them for c
+components, so c = |S| - rank(labels of S) + 1. With c known, a class of cut
+ends (joined by non-cut edges) with no non-cut edge to any other vertex is a
+whole component, counted on the spot; the other components are flooded one
+at a time until one is left, and its vertex and edge counts follow by
+subtraction. So the trivial cuts, around a vertex, an edge or a path of two
+edges, are decided without a flood over the rest of the graph.
 
 Graphs with no two vertex-disjoint cycles (e.g. K4) have no cyclic cut, so
 ``cyclic_edge_connectivity_at_least`` reports True for every k.
@@ -25,7 +37,8 @@ Graphs with no two vertex-disjoint cycles (e.g. K4) have no cyclic cut, so
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from math import comb
+from typing import Iterator
 
 from .multigraph import CubicGraph, GraphError, Multigraph
 
@@ -59,10 +72,10 @@ def _cyclic_cuts(
         }
         for cut in _zero_xor_sets(labels, size):
             grown.discard(cut)
-            if _is_cyclic_cut(g, cut):
+            if _is_cyclic_cut(g, labels, cut):
                 space_cuts.append(cut)
                 yield cut
-        yield from (cut for cut in grown if _is_cyclic_cut(g, cut))
+        yield from (cut for cut in grown if _is_cyclic_cut(g, labels, cut))
 
 
 def _cycle_labels(g: Multigraph) -> list[int]:
@@ -91,48 +104,125 @@ def _cycle_labels(g: Multigraph) -> list[int]:
     return labels
 
 
-def _xor(labels: list[int], edges: Iterable[int]) -> int:
-    x = 0
-    for e in edges:
-        x ^= labels[e]
-    return x
-
-
 def _zero_xor_sets(labels: list[int], size: int) -> Iterator[frozenset[int]]:
-    """Every edge set of the given size whose labels XOR to 0, each once."""
+    """Every edge set of the given size whose labels XOR to 0, each once.
+
+    The set splits into a first half, its size // 2 least edges, and a
+    second half: an edge i and a tail of later edges. For i ascending, the
+    first halves that end before i enter the dict, so every hit is a valid
+    set. XORs are carried from prefix to combination (``_xor_combos``), and
+    a set is built only on a hit."""
+    low, rest = size // 2, size - size // 2 - 1
+    last = len(labels) - 1
+    firsts = _xor_combos(labels, low)
+    # Tails over the reversed edge list: edge last - e for each entry e, so
+    # the tails that start after i are the first comb(last - i, rest).
+    tails = _xor_combos(labels[::-1], rest)
     halves: dict[int, list[tuple[int, ...]]] = {}
-    for first in combinations(range(len(labels)), size // 2):
-        halves.setdefault(_xor(labels, first), []).append(first)
-    for second in combinations(range(len(labels)), size - size // 2):
-        for first in halves.get(_xor(labels, second), ()):
-            if not first or first[-1] < second[0]:
-                yield frozenset(first + second)
+    added = 0
+    for i, label in enumerate(labels):
+        for x, first in firsts[added : comb(i, low)]:
+            halves.setdefault(x, []).append(first)
+        added = comb(i, low)
+        for x, tail in tails[: comb(last - i, rest)]:
+            if x ^ label in halves:
+                for first in halves[x ^ label]:
+                    yield frozenset((*first, i, *(last - e for e in tail)))
 
 
-def _is_cyclic_cut(g: Multigraph, cut: frozenset[int]) -> bool:
-    """Removal must leave >= 2 components that each contain a cycle."""
-    comp = [-1] * g.n
-    ncomp = 0
-    for s in range(g.n):
-        if comp[s] != -1:
-            continue
-        comp[s] = ncomp
-        frontier = [s]
-        while frontier:
-            v = frontier.pop()
-            for e in g.incident_edges(v):
-                if e in cut:
-                    continue
-                w = g.other_end(e, v)
-                if comp[w] == -1:
-                    comp[w] = ncomp
-                    frontier.append(w)
-        ncomp += 1
-    # A component has a cycle iff it keeps at least as many edges as vertices.
-    surplus = [0] * ncomp
-    for v in range(g.n):
-        surplus[comp[v]] -= 1
-    for e, (a, _b) in enumerate(g.edges):
-        if e not in cut:
-            surplus[comp[a]] += 1
-    return sum(1 for x in surplus if x >= 0) >= 2
+def _xor_combos(labels: list[int], r: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(XOR of labels, edge ids) of every r-set of edges, in colex order (by
+    last edge, then by the rest), so the sets inside range(j) come first,
+    comb(j, r) of them. Each XOR is carried from the set's prefix."""
+    out: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+    for k in range(r):
+        out = [
+            (x ^ label, (*c, e))
+            for e, label in enumerate(labels)
+            for x, c in out[: comb(e, k)]
+        ]
+    return out
+
+
+def _is_cyclic_cut(g: Multigraph, labels: list[int], cut: frozenset[int]) -> bool:
+    """Removal must leave >= 2 components that each contain a cycle.
+
+    A component has a cycle iff it keeps at least as many edges as
+    vertices. G - cut has len(cut) - rank + 1 components, the rank being
+    that of the cut's labels. A class of cut ends, joined by the non-cut
+    edges among them, that has no non-cut edge to any other vertex is a
+    whole component, counted on the spot. The components at the other cut
+    ends are flooded one by one while more than one is left; the last one's
+    counts follow by subtraction.
+    """
+    basis: list[int] = []
+    for e in cut:
+        x = labels[e]
+        for b in basis:
+            if x ^ b < x:  # x has b's leading bit
+                x ^= b
+        if x:
+            basis.append(x)
+    left = len(cut) - len(basis) + 1  # components not counted yet
+    if left < 2:
+        return False
+    vertices, kept = g.n, g.m - len(cut)  # in the components not counted yet
+    cyclic = 0
+    ends = {v for e in cut for v in g.edges[e]}
+    open_ends = []
+    seen: set[int] = set()
+    for s in ends:
+        if s not in seen:
+            size, degree, closed = _flood(g, cut, s, seen, ends)
+            if not closed:
+                open_ends.append(s)
+                continue
+            cyclic += degree >= 2 * size
+            vertices -= size
+            kept -= degree // 2
+            left -= 1
+    seen = set()
+    for s in open_ends:
+        if left < 2 or cyclic >= 2:
+            break
+        if s not in seen:
+            size, degree, _ = _flood(g, cut, s, seen, None)
+            cyclic += degree >= 2 * size
+            vertices -= size
+            kept -= degree // 2
+            left -= 1
+    if left == 1:
+        cyclic += kept >= vertices
+    return cyclic >= 2
+
+
+def _flood(
+    g: Multigraph, cut: frozenset[int], s: int, seen: set[int], within: set[int] | None
+) -> tuple[int, int, bool]:
+    """Flood G - cut from s, marking seen and, if within is given, not
+    leaving it. Returns the number of vertices reached, the sum of their
+    degrees in G - cut (a loop counts twice) and whether no edge of G - cut
+    leads outside within."""
+    edges, incident = g.edges, g.incident_edges
+    seen.add(s)
+    stack = [s]
+    size = degree = 0
+    closed = True
+    while stack:
+        v = stack.pop()
+        size += 1
+        for e in incident(v):
+            if e in cut:
+                continue
+            a, b = edges[e]
+            if a == b:
+                degree += 2
+                continue
+            degree += 1
+            w = b if a == v else a
+            if within is not None and w not in within:
+                closed = False
+            elif w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return size, degree, closed

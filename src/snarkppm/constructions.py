@@ -184,37 +184,50 @@ def star_construction(
 def _small_drawing(g: CubicGraph, m: PseudoMatching) -> Drawing:
     """Fewest-crossing drawing over a bounded deterministic order search.
 
-    Every candidate is the draw_m_avoiding drawing of a rotated or reversed
-    edge order; the smallest crossing list wins (first found). The
-    candidates are routed by one ``_DrawingSearch``, so they share its
-    planarity answers, and only the winner is finished and validated. The
-    search stops at a drawing with no more crossings than a lower bound
-    on every drawing: deleting one edge per crossing of a simple graph with
-    girth g leaves a planar graph of girth at least g, which has at most
-    g(n - 2)/(g - 2) edges. For a multigraph the bound is 0.
+    Every candidate is the draw_m_avoiding drawing of one of
+    ``_small_drawing_orders``; the smallest crossing list wins (first
+    found). The candidates are routed by one ``_DrawingSearch``, so they
+    share its planarity answers, and only the winner is finished and
+    validated. Each edge the greedy rejects crosses at least once when it
+    is routed (else the kept set plus that edge would be planar), so an
+    order is dropped as soon as its rejections reach the best crossing
+    count so far: it cannot be strictly better. The search stops at a
+    drawing with no more crossings than a lower bound on every drawing:
+    deleting one edge per crossing of a simple graph with girth g leaves a
+    planar graph of girth at least g, which has at most g(n - 2)/(g - 2)
+    edges. For a multigraph the bound is 0.
     """
     floor = 0
     if g.simple and g.n >= 3:
         gi = girth(g.graph)
         floor = g.graph.m - gi * (g.n - 2) // (gi - 2)
     search = _DrawingSearch(g, m)
-    non_m = search.non_m
-    stride = max(1, len(non_m) // 12)
     best = None
-    for shift in range(0, len(non_m), stride):
-        rotated = non_m[shift:] + non_m[:shift]
-        for order in (rotated, list(reversed(rotated))):
-            try:
-                c = search.route(order)
-            except GraphError:
-                continue
-            if best is None or len(c.crossings) < len(best.crossings):
-                best = c
-            if len(best.crossings) <= floor:
-                return search.finish(best)
+    for order in _small_drawing_orders(search.non_m):
+        try:
+            c = search.route(order, None if best is None else len(best.crossings))
+        except GraphError:
+            continue
+        if c is None:
+            continue
+        if best is None or len(c.crossings) < len(best.crossings):
+            best = c
+        if len(best.crossings) <= floor:
+            return search.finish(best)
     if best is None:
         raise GraphError("no drawing produced")
     return search.finish(best)
+
+
+def _small_drawing_orders(non_m: list[int]) -> list[list[int]]:
+    """The edge orders ``_small_drawing`` tries, in turn: about 12 rotations
+    of the non-matching edges, each followed by its reverse."""
+    stride = max(1, len(non_m) // 12)
+    orders = []
+    for shift in range(0, len(non_m), stride):
+        rotated = non_m[shift:] + non_m[:shift]
+        orders += [rotated, rotated[::-1]]
+    return orders
 
 
 def _find_span(span_list: list[_Span], ci: int) -> tuple[_Span, int]:

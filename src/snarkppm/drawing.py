@@ -422,13 +422,20 @@ class _DrawingSearch:
         self.non_m = [e for e in range(mg.m) if e not in self.m_set]
         self.memo = _PlanarityMemo(mg)
 
-    def route(self, edge_order: list[int]) -> _Candidate:
+    def route(
+        self, edge_order: list[int], max_rejected: int | None = None
+    ) -> _Candidate | None:
         """Greedy planar subgraph under edge_order, then the leftover edges
-        routed in that order; raises GraphError if a route fails."""
+        routed in that order; raises GraphError if a route fails. Returns
+        None as soon as the greedy has rejected max_rejected edges: each
+        rejected edge crosses at least once when routed, so the candidate
+        would have at least that many crossings."""
         mg = self.mg
         if sorted(edge_order) != self.non_m:
             raise GraphError("edge_order must list the non-matching edges")
-        kept = _planar_subgraph(mg, self.m_set, edge_order, self.memo)
+        kept = _planar_subgraph(mg, self.m_set, edge_order, self.memo, max_rejected)
+        if kept is None:
+            return None
         emb = self.memo.embedding(kept)
         if emb is None:
             # Not a property of the input: the greedy accepted a wrong edge.
@@ -460,10 +467,15 @@ class _DrawingSearch:
 
 
 def _planar_subgraph(
-    mg: Multigraph, m_set: set[int], edge_order: list[int], memo: _PlanarityMemo
-) -> list[int]:
+    mg: Multigraph,
+    m_set: set[int],
+    edge_order: list[int],
+    memo: _PlanarityMemo,
+    max_rejected: int | None = None,
+) -> list[int] | None:
     """Greedy maximal planar subgraph: the edges of m_set, then each edge of
-    edge_order that keeps the kept set planar; returned sorted.
+    edge_order that keeps the kept set planar; returned sorted, or None once
+    max_rejected edges have been rejected.
 
     A rotation system of the kept edges, keyed by edge ids of mg, decides
     each candidate e = (a, b) by the first rule that applies:
@@ -491,6 +503,7 @@ def _planar_subgraph(
     rot: dict[int, list[Dart]] = {v: [] for v in range(mg.n)}
     kept: list[int] = []
     mask = 0
+    rejected = 0
     for e in [*sorted(m_set), *edge_order]:
         a, b = mg.edges[e]
         ra, rb = find(a), find(b)
@@ -505,6 +518,9 @@ def _planar_subgraph(
         else:
             trial = memo.rotation(mask | 1 << e)
             if trial is None:
+                rejected += 1
+                if max_rejected is not None and rejected >= max_rejected:
+                    return None
                 continue
             rot = trial
         kept.append(e)

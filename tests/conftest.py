@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib.util
 import os
+import sys
 
 import pytest
 
@@ -76,3 +78,15 @@ def cubic_graphs_le8(connected_graphs_le8) -> list[Multigraph]:
                 out.append(g)
     assert [sum(1 for g in out if g.n == n) for n in (4, 6, 8)] == [1, 2, 5]
     return out
+
+
+@pytest.fixture(scope="session")
+def bench_relabel():
+    """``relabel`` of the benchmark's workloads: vertices permuted, edges
+    reordered and reoriented, the PPM carried over."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.relabel

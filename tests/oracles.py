@@ -169,12 +169,14 @@ def brute_cyclic_cuts(g: Multigraph, max_size: int) -> set[frozenset[int]]:
     out = set()
     for size in range(1, max_size + 1):
         for subset in combinations(range(g.m), size):
-            if _leaves_two_cyclic_components(g, set(subset)):
+            if leaves_two_cyclic_components(g, set(subset)):
                 out.add(frozenset(subset))
     return out
 
 
-def _leaves_two_cyclic_components(g: Multigraph, cut: set[int]) -> bool:
+def leaves_two_cyclic_components(g: Multigraph, cut: set[int]) -> bool:
+    """Whether G - cut has two components that each keep as many edges as
+    vertices, by one flood fill over the whole graph."""
     comp = [-1] * g.n
     ncomp = 0
     for s in range(g.n):

@@ -19,10 +19,13 @@ from snarkppm import (
     find_3_edge_coloring,
     flower_graph,
     flower_snark,
+    goldberg_snark,
     is_snark,
     petersen,
     star_construction,
 )
+from snarkppm.connectivity import _cycle_labels, _is_cyclic_cut
+from snarkppm.families import FamilyInstance, flower_claw_ppm
 
 
 class TestColoring:
@@ -209,9 +212,81 @@ class TestCyclicConnectivity:
             assert [len(c) for c in cuts] == sorted(len(c) for c in cuts)
             assert set(cuts) == oracles.brute_cyclic_cuts(g, k), g.edges
 
+    def test_cyclicity_test_matches_oracle_verdict_by_verdict(self):
+        # Edge cuts delta(X), their supersets and random edge sets of sizes
+        # 1-6 on configuration-model multigraphs (loops, parallel edges).
+        rng = random.Random(1111)
+        verdicts = {True: 0, False: 0}
+        zero_xor = tested = 0
+        for _ in range(150):
+            n = rng.choice((2, 4, 6, 8, 10, 12, 14))
+            stubs = [v for v in range(n) for _ in range(3)]
+            rng.shuffle(stubs)
+            g = Multigraph(n, zip(stubs[::2], stubs[1::2]))
+            if not g.is_connected():
+                continue
+            labels = _cycle_labels(g)
+            for _ in range(20):
+                side = {v for v in range(n) if rng.random() < 0.5}
+                cut = {e for e, (a, b) in enumerate(g.edges) if (a in side) != (b in side)}
+                for _ in range(rng.randrange(3)):
+                    cut.add(rng.randrange(g.m))
+                if rng.random() < 0.3:
+                    cut = set(rng.sample(range(g.m), rng.randint(1, min(6, g.m))))
+                if not 1 <= len(cut) <= 6:
+                    continue
+                x = 0
+                for e in cut:
+                    x ^= labels[e]
+                zero_xor += x == 0
+                tested += 1
+                expect = oracles.leaves_two_cyclic_components(g, cut)
+                assert _is_cyclic_cut(g, labels, frozenset(cut)) == expect, (g.edges, cut)
+                verdicts[expect] += 1
+        assert min(zero_xor, tested - zero_xor, *verdicts.values()) > 400, (
+            zero_xor,
+            tested,
+            verdicts,
+        )
+
+    @pytest.mark.parametrize(
+        "make, counts",
+        [
+            (petersen, (0, 6)),
+            (lambda: blanusa_snark(2, 1), (2, 74)),
+            (lambda: blanusa_snark(2, 2), (1, 44)),
+            (lambda: flower_snark(5), (0, 1)),
+            (lambda: _colorable_flower(6), (0, 0)),
+            (lambda: flower_snark(7), (0, 0)),
+            (lambda: goldberg_snark(5), (0, 16)),
+        ],
+        ids=["petersen", "b18_1", "b18_2", "j5", "j6", "j7", "g5"],
+    )
+    def test_cut_counts_under_relabeling(self, make, counts, bench_relabel):
+        # The numbers of cyclic cuts of size <= 4 and <= 5 are invariants;
+        # 20 seeded relabelings of each family member.
+        inst = make()
+        rng = random.Random(1112)
+        for _ in range(20):
+            g = bench_relabel(inst.graph, inst.designated_ppm, rng)[0].graph
+            for k, count in zip((4, 5), counts):
+                cuts = list(cyclic_cuts_up_to(g, k))
+                assert len(cuts) == len(set(cuts)) == count
+                assert [len(c) for c in cuts] == sorted(len(c) for c in cuts)
+                for cut in cuts:
+                    assert oracles.leaves_two_cyclic_components(g, set(cut))
+
     def test_disconnected_rejected(self):
         two_thetas = Multigraph(4, [(0, 1)] * 3 + [(2, 3)] * 3)
         with pytest.raises(GraphError):
             cyclic_edge_connectivity_at_least(CubicGraph(two_thetas), 4)
         with pytest.raises(GraphError):
             cyclic_cuts_up_to(two_thetas, 2)
+
+
+def _colorable_flower(k: int) -> FamilyInstance:
+    """The flower graph of even k (3-edge-colorable), with the claw PPM."""
+    g = flower_graph(k)
+    return FamilyInstance(
+        CubicGraph(g, require_simple=True), flower_claw_ppm(g, k), f"flower(k={k})"
+    )

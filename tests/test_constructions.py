@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import importlib.util
-import os
 import random
-import sys
 
 import pytest
 
@@ -153,7 +150,7 @@ class TestStarConstruction:
         monkeypatch.setattr(
             snarkppm.drawing,
             "_planar_subgraph",
-            lambda mg, m_set, edge_order, memo: list(range(mg.m)),
+            lambda mg, m_set, edge_order, memo, max_rejected=None: list(range(mg.m)),
         )
         inst = petersen()
         with pytest.raises(RuntimeError, match="planar subgraph stage failed"):
@@ -181,17 +178,6 @@ class TestStarConstruction:
             injectivity_experiment([(inst.graph, inst.designated_ppm)])
 
 
-def _bench_relabel():
-    """``relabel`` of the benchmark's workloads: vertices permuted, edges
-    reordered and reoriented, the PPM carried over."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module.relabel
-
-
 class TestSmallDrawing:
     @pytest.mark.parametrize(
         "make, crossings",
@@ -202,20 +188,58 @@ class TestSmallDrawing:
         ],
         ids=["petersen", "b18_1", "b18_2"],
     )
-    def test_crossing_counts_pinned(self, make, crossings):
+    def test_crossing_counts_pinned(self, make, crossings, bench_relabel):
         # The counts of the order search on the benchmark's star inputs,
         # unrelabeled and on 25 seeded relabelings each.
         from snarkppm.constructions import _small_drawing
 
-        relabel = _bench_relabel()
         inst = make()
         rng = random.Random(1010)
         copies = [(inst.graph, inst.designated_ppm)]
-        copies += [relabel(inst.graph, inst.designated_ppm, rng) for _ in range(25)]
+        copies += [bench_relabel(inst.graph, inst.designated_ppm, rng) for _ in range(25)]
         for g, m in copies:
             d = _small_drawing(g, m)
             validate_drawing(d)
             assert len(d.crossings) == crossings, g.graph.edges
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            petersen,
+            lambda: blanusa_snark(2, 1),
+            lambda: blanusa_snark(2, 2),
+            lambda: flower_snark(5),
+        ],
+        ids=["petersen", "b18_1", "b18_2", "j5"],
+    )
+    def test_rejection_bound_keeps_the_first_minimum(self, make, bench_relabel):
+        # Routing every order in full, with no bound on the greedy's
+        # rejections, and keeping the first fewest-crossing candidate gives
+        # the same drawing as the bounded search.
+        from snarkppm.constructions import _small_drawing, _small_drawing_orders
+        from snarkppm.drawing import _DrawingSearch
+
+        inst = make()
+        rng = random.Random(1111)
+        copies = [(inst.graph, inst.designated_ppm)]
+        copies += [bench_relabel(inst.graph, inst.designated_ppm, rng) for _ in range(6)]
+        dropped = 0
+        for g, m in copies:
+            search = _DrawingSearch(g, m)
+            best = None
+            for order in _small_drawing_orders(search.non_m):
+                try:
+                    c = search.route(order)
+                except GraphError:
+                    continue
+                if best is not None and search.route(order, len(best.crossings)) is None:
+                    # A dropped order is never strictly better.
+                    assert len(c.crossings) >= len(best.crossings)
+                    dropped += 1
+                if best is None or len(c.crossings) < len(best.crossings):
+                    best = c
+            assert _small_drawing(g, m) == search.finish(best), g.graph.edges
+        assert dropped
 
 
 class TestReplayOrder:
