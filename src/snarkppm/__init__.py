@@ -60,7 +60,7 @@ from .families import (
     petersen,
 )
 from .graph6 import Graph6Error, parse_graph6, read_graph6_lines, write_graph6
-from .minors import KMinorUndecidedError, has_k5_minor, is_planar
+from .minors import KMinorUndecidedError, has_k5_minor, is_planar, planar
 from .multigraph import (
     CubicGraph,
     GraphError,

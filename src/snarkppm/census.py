@@ -16,7 +16,7 @@ from .cycles import (
     verify_cycle_set,
 )
 from .graph6 import parse_graph6
-from .minors import KMinorUndecidedError, is_planar
+from .minors import KMinorUndecidedError, planar
 from .multigraph import CubicGraph, GraphError, girth
 from .ppm import (
     K5_MINOR_FREE_ONLY,
@@ -118,7 +118,7 @@ def _best_class(
             raise CensusTimeout
         if best == K5_MINOR_FREE_ONLY:
             # Only a planarizing PPM can do better: skip the K5-minor test.
-            if is_planar(contract(g, m).graph) is None:
+            if not planar(contract(g, m).graph):
                 continue
             cls = PLANARIZING
         else:

@@ -30,8 +30,9 @@ at a time until one is left, and its vertex and edge counts follow by
 subtraction. So the trivial cuts, around a vertex, an edge or a path of two
 edges, are decided without a flood over the rest of the graph.
 
-Graphs with no two vertex-disjoint cycles (e.g. K4) have no cyclic cut, so
-``cyclic_edge_connectivity_at_least`` reports True for every k.
+Graphs with no two vertex-disjoint cycles (e.g. K4, or the empty graph) have
+no cyclic cut, so ``cyclic_edge_connectivity_at_least`` reports True for
+every k.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ def cyclic_cuts_up_to(g: Multigraph, max_size: int) -> Iterator[frozenset[int]]:
     nondecreasing size. Raises GraphError at once on a disconnected graph."""
     if not g.is_connected():
         raise GraphError("cyclic edge connectivity needs a connected graph")
+    if g.n == 0:
+        return iter(())
     return _cyclic_cuts(g, _cycle_labels(g), max_size)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .embedding import Dart, PlanarEmbedding, face_successor, trace_faces
-from .minors import is_planar
+from .minors import is_planar, planar
 from .multigraph import CubicGraph, GraphError, Multigraph
 from .ppm import (
     Component,
@@ -631,7 +631,7 @@ def seek_planarizing_drawing(g: CubicGraph, m: PseudoMatching) -> Drawing | None
     if bad is not None:
         raise GraphError(f"invalid PPM: {bad.message}")
     cg = contract(g, m)
-    if is_planar(cg.graph) is None:
+    if not planar(cg.graph):
         return None
     mg = g.graph
 

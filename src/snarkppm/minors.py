@@ -1,14 +1,24 @@
-"""Planarity testing with embedding extraction, and K5-minor detection.
+"""Planarity by one left-right kernel, and K5-minor detection.
 
-Planarity uses the left-right algorithm (Brandes' formulation) on the simple
-skeleton of each connected component; parallel edges and loops are spliced
-back into the rotation afterwards, so returned embeddings cover the full
-multigraph. Every returned embedding is validated against Euler's formula.
+The kernel (``_lr_planarity``) is Brandes' formulation of the left-right
+test (de Fraysseix & Ossona de Mendez; Brandes 2009) on a connected simple
+graph, written on flat lists: oriented edges are int ids, every per-edge
+quantity is a list indexed by them, and a conflict pair is a 4-slot list.
+It runs in one of two modes:
+
+- with the embedding phase, it returns a rotation. ``is_planar`` uses this
+  mode on the simple skeleton of each component, splices parallel edges
+  and loops back into the rotation, and checks the result against Euler's
+  formula. The drawing code calls it for the rotations it draws on.
+- without it, it returns only the verdict. ``planar`` uses this mode
+  after reducing the skeleton, and so does each node of the K5-minor
+  search. ``classify_ppm`` and the census ask ``planar``, as they never
+  use an embedding.
 
 K5-minor detection is an exact reduce-and-contract search on the simple
 skeleton as bitmasks: at each node it deletes vertices of degree at most 1,
 suppresses those of degree 2, answers at once below 5 vertices, at Mader's
-bound m >= 3n - 5 and on planar graphs (left-right test per component),
+bound m >= 3n - 5 and on planar graphs (the verdict per component),
 splits at cut vertices, and otherwise branches on edge contractions,
 remembering the reduced graphs already refuted. It raises
 ``KMinorUndecidedError`` if the node budget runs out instead of ever
@@ -37,359 +47,300 @@ def is_planar(g: Multigraph) -> PlanarEmbedding | None:
     bounds its own bigon face) and loops as trivial faces, so multi-edges
     never change the answer but do appear in the rotation.
     """
+    # Collapse to a simple skeleton; remember loops and parallel classes.
+    loops: list[list[int]] = [[] for _ in range(g.n)]
+    para: dict[tuple[int, int], list[int]] = {}
+    for e, (a, b) in enumerate(g.edges):
+        if a == b:
+            loops[a].append(e)
+        else:
+            para.setdefault((a, b) if a < b else (b, a), []).append(e)
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for a, b in para:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+
     rotation: dict[int, list[Dart]] = {v: [] for v in range(g.n)}
     for comp in g.connected_components():
-        if not _embed_component(g, comp, rotation):
+        local = {v: i for i, v in enumerate(comp)}
+        simple_rot = _lr_planarity(
+            [sorted(local[w] for w in nbrs[v]) for v in comp], True
+        )
+        if simple_rot is None:
             return None
+        # Expand the skeleton rotation into darts with parallels spliced in.
+        for v, row in zip(comp, simple_rot):
+            darts = rotation[v]
+            for lu in row:
+                u = comp[lu]
+                # Nest parallels: clockwise at the lower endpoint, reversed
+                # at the other, so consecutive mates bound bigons.
+                if v < u:
+                    bundle = para[v, u]
+                else:
+                    bundle = para[u, v][::-1]
+                for e in bundle:
+                    darts.append((e, 0) if g.edges[e][0] == v else (e, 1))
+            for e in loops[v]:
+                darts.extend([(e, 0), (e, 1)])
     emb = PlanarEmbedding(g, rotation)
     emb.verify_euler()
     return emb
 
 
-def _embed_component(
-    g: Multigraph, comp: list[int], rotation: dict[int, list[Dart]]
-) -> bool:
-    local = {v: i for i, v in enumerate(comp)}
-    nloc = len(comp)
+def planar(g: Multigraph) -> bool:
+    """True iff g is planar: the verdict of ``is_planar`` without building
+    an embedding.
 
-    # Collapse to a simple skeleton; remember loops and parallel classes.
-    loops: dict[int, list[int]] = {v: [] for v in comp}
-    para: dict[tuple[int, int], list[int]] = {}
-    for e, (a, b) in enumerate(g.edges):
-        if a not in local:
-            continue
-        if a == b:
-            loops[a].append(e)
-            continue
-        key = (min(a, b), max(a, b))
-        para.setdefault(key, []).append(e)
-
-    adj: list[list[int]] = [[] for _ in range(nloc)]
-    for (a, b) in sorted(para):
-        adj[local[a]].append(local[b])
-        adj[local[b]].append(local[a])
-    for row in adj:
-        row.sort()
-
-    simple_rot = _lr_planarity(nloc, adj)
-    if simple_rot is None:
-        return False
-
-    # Expand skeleton rotation into dart rotation with parallels spliced in.
-    for v in comp:
-        lv = local[v]
-        darts: list[Dart] = []
-        for lu in simple_rot[lv]:
-            u = comp[lu]
-            key = (min(v, u), max(v, u))
-            bundle = para[key]
-            # Nest parallels: clockwise at the lower endpoint, reversed at
-            # the other, so consecutive mates bound bigons.
-            ordered = bundle if v <= u else list(reversed(bundle))
-            for e in ordered:
-                a, _b = g.edges[e]
-                darts.append((e, 0) if a == v else (e, 1))
-        for e in loops[v]:
-            darts.extend([(e, 0), (e, 1)])
-        rotation[v] = darts
-    return True
-
-
-def _lr_planarity(n: int, adj: list[list[int]]) -> list[list[int]] | None:
-    """Left-right planarity on a connected simple graph.
-
-    Returns, per vertex, the clockwise neighbour order, or None.
+    Works on the reduced simple skeleton (vertices of degree at most 1
+    deleted, those of degree 2 suppressed, which keeps planarity): planar
+    below 5 vertices, nonplanar at m >= 3n - 5, and otherwise planar iff
+    the left-right test passes on every component.
     """
+    adj = _skeleton(g)
+    _reduce(adj)
+    n = len(adj)
+    if n < 5:
+        return True
+    if sum(a.bit_count() for a in adj.values()) >= 2 * (3 * n - 5):
+        return False
+    return all(_planar_component(adj, comp) for comp in _components(adj))
+
+
+def _lr_planarity(adj: list[list[int]], embed: bool) -> list[list[int]] | None:
+    """Left-right planarity on a connected simple graph given by sorted
+    adjacency rows.
+
+    Returns None if the graph is nonplanar. Otherwise, with ``embed``, the
+    clockwise neighbour order of each vertex; without it, an empty list.
+
+    Oriented edges are ints in orientation order, and every per-edge
+    quantity is a list indexed by them. A conflict pair is a 4-slot list
+    ``[L.low, L.high, R.low, R.high]`` of edge ids, -1 for none.
+    """
+    n = len(adj)
     if n <= 2:
-        return [list(row) for row in adj]
-    m = sum(len(row) for row in adj) // 2
+        return [list(row) for row in adj] if embed else []
+    m = sum(map(len, adj)) // 2
     if m > 3 * n - 6:
         return None
-    state = _LRState(n, adj)
-    state.orient(0)
-    state.sort_adjacency()
-    if not state.test(0):
-        return None
-    return state.embed(0)
 
-
-class _Interval:
-    __slots__ = ("low", "high")
-
-    def __init__(self, low=None, high=None):
-        self.low = low
-        self.high = high
-
-    def empty(self) -> bool:
-        return self.low is None and self.high is None
-
-    def copy(self) -> "_Interval":
-        return _Interval(self.low, self.high)
-
-
-class _ConflictPair:
-    __slots__ = ("L", "R")
-
-    def __init__(self, L=None, R=None):
-        self.L = L if L is not None else _Interval()
-        self.R = R if R is not None else _Interval()
-
-    def swap(self) -> None:
-        self.L, self.R = self.R, self.L
-
-
-class _LRState:
-    def __init__(self, n: int, adj: list[list[int]]):
-        self.n = n
-        self.adj = adj
-        self.height: list[int | None] = [None] * n
-        self.parent_edge: list[tuple[int, int] | None] = [None] * n
-        self.oriented: set[tuple[int, int]] = set()
-        self.lowpt: dict[tuple[int, int], int] = {}
-        self.lowpt2: dict[tuple[int, int], int] = {}
-        self.nesting: dict[tuple[int, int], int] = {}
-        self.ordered: list[list[int]] = [[] for _ in range(n)]
-        self.ref: dict[tuple[int, int], tuple[int, int] | None] = {}
-        self.side: dict[tuple[int, int], int] = {}
-        self.S: list[_ConflictPair] = []
-        self.stack_bottom: dict[tuple[int, int], _ConflictPair | None] = {}
-        self.lowpt_edge: dict[tuple[int, int], tuple[int, int]] = {}
-
-    # -- phase 1 -----------------------------------------------------------
-
-    def orient(self, root: int) -> None:
-        self.height[root] = 0
-        # Frames: (v, adjacency index, pending tree edge awaiting postwork).
-        stack: list[list] = [[root, 0, None]]
-        while stack:
-            frame = stack[-1]
-            v, idx, pending = frame
-            if pending is not None:
-                self._orient_post(v, pending)
-                frame[2] = None
-            if idx >= len(self.adj[v]):
-                stack.pop()
+    # Phase 1: orient by DFS from vertex 0; heights, lowpoints, nesting.
+    height = [-1] * n
+    parent_edge = [-1] * n
+    src = [0] * m
+    tgt = [0] * m
+    lowpt = [0] * m
+    lowpt2 = [0] * m
+    nesting = [0] * m
+    out: list[list[int]] = [[] for _ in range(n)]
+    height[0] = 0
+    oriented = 0
+    frames = [[0, 0]]
+    while frames:
+        frame = frames[-1]
+        v, i = frame
+        row = adj[v]
+        if i < len(row):
+            frame[1] = i + 1
+            w = row[i]
+            hv = height[v]
+            hw = height[w]
+            if hw >= 0 and (hw >= hv or w == src[parent_edge[v]]):
+                continue  # oriented already, from w
+            e = oriented
+            oriented += 1
+            src[e] = v
+            tgt[e] = w
+            lowpt2[e] = hv
+            out[v].append(e)
+            if hw < 0:
+                lowpt[e] = hv
+                parent_edge[w] = e
+                height[w] = hv + 1
+                frames.append([w, 0])
                 continue
-            frame[1] = idx + 1
-            w = self.adj[v][idx]
-            vw = (v, w)
-            if vw in self.oriented or (w, v) in self.oriented:
+            lowpt[e] = hw  # a back edge: its postwork is due now
+        else:
+            frames.pop()
+            e = parent_edge[v]
+            if e < 0:
                 continue
-            self.oriented.add(vw)
-            self.lowpt[vw] = self.height[v]
-            self.lowpt2[vw] = self.height[v]
-            if self.height[w] is None:
-                self.parent_edge[w] = vw
-                self.height[w] = self.height[v] + 1
-                frame[2] = vw
-                stack.append([w, 0, None])
+            v = src[e]  # a tree edge whose child is done
+        low = lowpt[e]
+        low2 = lowpt2[e]
+        nesting[e] = 2 * low + (low2 < height[v])
+        p = parent_edge[v]
+        if p >= 0:
+            lp = lowpt[p]
+            if low < lp:
+                lowpt2[p] = lp if lp < low2 else low2
+                lowpt[p] = low
             else:
-                self.lowpt[vw] = self.height[w]
-                self._orient_post(v, vw)
+                if low > lp:
+                    low2 = low
+                if low2 < lowpt2[p]:
+                    lowpt2[p] = low2
+    by_nesting = nesting.__getitem__
+    for row in out:
+        row.sort(key=by_nesting)
 
-    def _orient_post(self, v: int, vw: tuple[int, int]) -> None:
-        self.nesting[vw] = 2 * self.lowpt[vw]
-        if self.lowpt2[vw] < self.height[v]:
-            self.nesting[vw] += 1
-        e = self.parent_edge[v]
-        if e is not None:
-            if self.lowpt[vw] < self.lowpt[e]:
-                self.lowpt2[e] = min(self.lowpt[e], self.lowpt2[vw])
-                self.lowpt[e] = self.lowpt[vw]
-            elif self.lowpt[vw] > self.lowpt[e]:
-                self.lowpt2[e] = min(self.lowpt2[e], self.lowpt[vw])
-            else:
-                self.lowpt2[e] = min(self.lowpt2[e], self.lowpt2[vw])
-
-    def sort_adjacency(self) -> None:
-        for v in range(self.n):
-            out = [w for w in self.adj[v] if (v, w) in self.oriented]
-            out.sort(key=lambda w: self.nesting[(v, w)])
-            self.ordered[v] = out
-
-    # -- phase 2 -----------------------------------------------------------
-
-    def test(self, root: int) -> bool:
-        for v in range(self.n):
-            for w in self.ordered[v]:
-                self.ref[(v, w)] = None
-                self.side[(v, w)] = 1
-        # Frames: (v, index into ordered[v], child edge awaiting postwork).
-        stack: list[list] = [[root, 0, None]]
-        while stack:
-            frame = stack[-1]
-            v, idx, pending = frame
-            if pending is not None:
-                if not self._test_post(v, pending, idx - 1):
-                    return False
-                frame[2] = None
-            if idx >= len(self.ordered[v]):
-                stack.pop()
-                e = self.parent_edge[v]
-                if e is not None:
-                    if not self._test_finish(e):
-                        return False
+    # Phase 2: the left-right constraints.
+    ref = [-1] * m
+    side = [1] * m
+    lowpt_edge = list(range(m))  # a back edge is its own lowpoint edge
+    stack_bottom: list[list[int] | None] = [None] * m
+    S: list[list[int]] = []
+    frames = [[0, 0]]
+    while frames:
+        frame = frames[-1]
+        v, i = frame
+        row = out[v]
+        if i < len(row):
+            frame[1] = i + 1
+            ei = row[i]
+            stack_bottom[ei] = S[-1] if S else None
+            w = tgt[ei]
+            if ei == parent_edge[w]:
+                frames.append([w, 0])
                 continue
-            frame[1] = idx + 1
-            w = self.ordered[v][idx]
-            ei = (v, w)
-            self.stack_bottom[ei] = self.S[-1] if self.S else None
-            if ei == self.parent_edge[w]:
-                frame[2] = ei
-                stack.append([w, 0, None])
-            else:
-                self.lowpt_edge[ei] = ei
-                self.S.append(_ConflictPair(R=_Interval(ei, ei)))
-                if not self._test_post(v, ei, idx):
-                    return False
-        return True
-
-    def _test_post(self, v: int, ei: tuple[int, int], idx: int) -> bool:
-        """Integrate edge ei (idx-th in ordered[v]) after it was processed."""
-        if self.lowpt[ei] < self.height[v]:  # ei has a return edge
-            e = self.parent_edge[v]
-            if idx == 0:
-                if e is not None:
-                    self.lowpt_edge[e] = self.lowpt_edge[ei]
-            else:
-                if not self._add_constraints(ei, self.parent_edge[v]):
-                    return False
-        return True
-
-    def _test_finish(self, e: tuple[int, int]) -> bool:
-        u = e[0]
-        self._trim_back_edges(e)
-        if self.lowpt[e] < self.height[u]:  # e has a return edge
-            top = self.S[-1]
-            hl = top.L.high
-            hr = top.R.high
-            if hl is not None and (hr is None or self.lowpt[hl] > self.lowpt[hr]):
-                self.ref[e] = hl
-            else:
-                self.ref[e] = hr
-        return True
-
-    def _conflicting(self, interval: _Interval, b: tuple[int, int]) -> bool:
-        return not interval.empty() and self.lowpt[interval.high] > self.lowpt[b]
-
-    def _add_constraints(self, ei: tuple[int, int], e: tuple[int, int]) -> bool:
-        P = _ConflictPair()
-        # Merge return edges of ei into P.R.
+            S.append([-1, -1, ei, ei])
+        else:
+            frames.pop()
+            ei = parent_edge[v]
+            if ei < 0:
+                continue
+            # Trim the back edges that end at u, the tail of the finished
+            # tree edge ei.
+            u = src[ei]
+            hu = height[u]
+            while S:
+                P = S[-1]
+                if P[0] < 0 and P[1] < 0:
+                    lowest = lowpt[P[2]]
+                elif P[2] < 0 and P[3] < 0:
+                    lowest = lowpt[P[0]]
+                else:
+                    lowest = min(lowpt[P[0]], lowpt[P[2]])
+                if lowest != hu:
+                    break
+                S.pop()
+                if P[0] >= 0:
+                    side[P[0]] = -1
+            if S:
+                P = S[-1]
+                while P[1] >= 0 and tgt[P[1]] == u:
+                    P[1] = ref[P[1]]
+                if P[1] < 0 and P[0] >= 0:
+                    ref[P[0]] = P[2]
+                    side[P[0]] = -1
+                    P[0] = -1
+                while P[3] >= 0 and tgt[P[3]] == u:
+                    P[3] = ref[P[3]]
+                if P[3] < 0 and P[2] >= 0:
+                    ref[P[2]] = P[0]
+                    side[P[2]] = -1
+                    P[2] = -1
+            if lowpt[ei] < hu:
+                hl = S[-1][1]
+                hr = S[-1][3]
+                ref[ei] = hl if hl >= 0 and (hr < 0 or lowpt[hl] > lowpt[hr]) else hr
+            v = u
+            i = frames[-1][1] - 1
+        # Integrate ei, the i-th out-edge of v, now that it is processed.
+        e = parent_edge[v]
+        if lowpt[ei] >= height[v]:
+            continue
+        if i == 0:
+            if e >= 0:
+                lowpt_edge[e] = lowpt_edge[ei]
+            continue
+        # Merge the return edges of ei into P.R.
+        P = [-1, -1, -1, -1]
+        le = lowpt[e]
+        bottom = stack_bottom[ei]
         while True:
-            Q = self.S.pop()
-            if not Q.L.empty():
-                Q.swap()
-            if not Q.L.empty():
-                return False
-            if self.lowpt[Q.R.low] > self.lowpt[e]:
-                if P.R.empty():
-                    P.R.high = Q.R.high
+            Q = S.pop()
+            if Q[0] >= 0 or Q[1] >= 0:
+                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
+                if Q[0] >= 0 or Q[1] >= 0:
+                    return None
+            if lowpt[Q[2]] > le:
+                if P[2] < 0 and P[3] < 0:
+                    P[3] = Q[3]
                 else:
-                    self.ref[P.R.low] = Q.R.high
-                P.R.low = Q.R.low
+                    ref[P[2]] = Q[3]
+                P[2] = Q[2]
             else:
-                self.ref[Q.R.low] = self.lowpt_edge[e]
-            top = self.S[-1] if self.S else None
-            if top is self.stack_bottom[ei]:
+                ref[Q[2]] = lowpt_edge[e]
+            if (S[-1] if S else None) is bottom:
                 break
-        # Merge conflicting return edges of earlier siblings into P.L.
-        while self.S and (
-            self._conflicting(self.S[-1].L, ei) or self._conflicting(self.S[-1].R, ei)
-        ):
-            Q = self.S.pop()
-            if self._conflicting(Q.R, ei):
-                Q.swap()
-            if self._conflicting(Q.R, ei):
-                return False
-            self.ref[P.R.low] = Q.R.high
-            if Q.R.low is not None:
-                P.R.low = Q.R.low
-            if P.L.empty():
-                P.L.high = Q.L.high
+        # Merge the conflicting return edges of earlier siblings into P.L.
+        lb = lowpt[ei]
+        while S:
+            Q = S[-1]
+            if Q[3] >= 0 and lowpt[Q[3]] > lb:  # R conflicts: swap it to L
+                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
+                if Q[3] >= 0 and lowpt[Q[3]] > lb:
+                    return None
+            elif not (Q[1] >= 0 and lowpt[Q[1]] > lb):
+                break
+            S.pop()
+            if P[2] >= 0:  # P.R may still be empty
+                ref[P[2]] = Q[3]
+            if Q[2] >= 0:
+                P[2] = Q[2]
+            if P[0] < 0 and P[1] < 0:
+                P[1] = Q[1]
             else:
-                self.ref[P.L.low] = Q.L.high
-            P.L.low = Q.L.low
-        if not (P.L.empty() and P.R.empty()):
-            self.S.append(P)
-        return True
+                ref[P[0]] = Q[1]
+            P[0] = Q[0]
+        if P[0] >= 0 or P[1] >= 0 or P[2] >= 0 or P[3] >= 0:
+            S.append(P)
+    if not embed:
+        return []
 
-    def _lowest(self, P: _ConflictPair) -> int:
-        if P.L.empty():
-            return self.lowpt[P.R.low]
-        if P.R.empty():
-            return self.lowpt[P.L.low]
-        return min(self.lowpt[P.L.low], self.lowpt[P.R.low])
-
-    def _trim_back_edges(self, e: tuple[int, int]) -> None:
-        u = e[0]
-        while self.S and self._lowest(self.S[-1]) == self.height[u]:
-            P = self.S.pop()
-            if P.L.low is not None:
-                self.side[P.L.low] = -1
-        if self.S:
-            P = self.S.pop()
-            while P.L.high is not None and P.L.high[1] == u:
-                P.L.high = self.ref[P.L.high]
-            if P.L.high is None and P.L.low is not None:
-                self.ref[P.L.low] = P.R.low
-                self.side[P.L.low] = -1
-                P.L.low = None
-            while P.R.high is not None and P.R.high[1] == u:
-                P.R.high = self.ref[P.R.high]
-            if P.R.high is None and P.R.low is not None:
-                self.ref[P.R.low] = P.L.low
-                self.side[P.R.low] = -1
-                P.R.low = None
-            self.S.append(P)
-
-    # -- phase 3 -----------------------------------------------------------
-
-    def _sign(self, e: tuple[int, int]) -> int:
+    # Phase 3: resolve each edge's side, then insert back edges beside
+    # their tree edges.
+    for e in range(m):
         chain = []
-        while self.ref[e] is not None:
+        while ref[e] >= 0:
             chain.append(e)
-            e = self.ref[e]
-        result = self.side[e]
-        for edge in reversed(chain):
-            self.side[edge] *= result
-            self.ref[edge] = None
-            result = self.side[edge]
-        return result
-
-    def embed(self, root: int) -> list[list[int]]:
-        for v in range(self.n):
-            for w in self.ordered[v]:
-                self.nesting[(v, w)] *= self._sign((v, w))
-            self.ordered[v].sort(key=lambda w: self.nesting[(v, w)])
-
-        rotation: list[list[int]] = [list(self.ordered[v]) for v in range(self.n)]
-        left_ref: dict[int, int] = {}
-        right_ref: dict[int, int] = {}
-
-        stack: list[list] = [[root, 0]]
-        while stack:
-            frame = stack[-1]
-            v, idx = frame
-            if idx >= len(self.ordered[v]):
-                stack.pop()
-                continue
-            frame[1] = idx + 1
-            w = self.ordered[v][idx]
-            ei = (v, w)
-            if ei == self.parent_edge[w]:
-                rotation[w].insert(0, v)
-                left_ref[v] = w
-                right_ref[v] = w
-                stack.append([w, 0])
-            else:
-                if self.side[ei] == 1:
-                    pos = rotation[w].index(right_ref[w])
-                    rotation[w].insert(pos + 1, v)
-                else:
-                    pos = rotation[w].index(left_ref[w])
-                    rotation[w].insert(pos, v)
-                    left_ref[w] = v
-        return rotation
+            e = ref[e]
+        sign = side[e]
+        for f in reversed(chain):
+            sign = side[f] = side[f] * sign
+            ref[f] = -1
+    for row in out:
+        for e in row:
+            nesting[e] *= side[e]
+        row.sort(key=by_nesting)
+    rotation = [[tgt[e] for e in row] for row in out]
+    left_ref = [0] * n
+    right_ref = [0] * n
+    frames = [[0, 0]]
+    while frames:
+        frame = frames[-1]
+        v, i = frame
+        row = out[v]
+        if i == len(row):
+            frames.pop()
+            continue
+        frame[1] = i + 1
+        e = row[i]
+        w = tgt[e]
+        if e == parent_edge[w]:
+            rotation[w].insert(0, v)
+            left_ref[v] = right_ref[v] = w
+            frames.append([w, 0])
+        elif side[e] == 1:
+            rot = rotation[w]
+            rot.insert(rot.index(right_ref[w]) + 1, v)
+        else:
+            rot = rotation[w]
+            rot.insert(rot.index(left_ref[w]), v)
+            left_ref[w] = v
+    return rotation
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +364,7 @@ def has_k5_minor(g: Multigraph, node_budget: int = DEFAULT_K5_BUDGET) -> bool:
     graphs already refuted are remembered. Every node counts against
     ``node_budget``; running out raises ``KMinorUndecidedError``.
     """
-    adj = {v: 0 for v in range(g.n)}
-    for a, b in g.edges:
-        if a != b:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
+    adj = _skeleton(g)
     budget = [node_budget]
     refuted: set[tuple[tuple[int, int], ...]] = set()
 
@@ -442,7 +389,7 @@ def has_k5_minor(g: Multigraph, node_budget: int = DEFAULT_K5_BUDGET) -> bool:
         pieces = [
             block
             for comp in _components(adj)
-            if not _planar(adj, comp)
+            if not _planar_component(adj, comp)
             for block in _blocks(adj, comp)
         ]
         if pieces == [_mask(adj)]:
@@ -461,6 +408,16 @@ def has_k5_minor(g: Multigraph, node_budget: int = DEFAULT_K5_BUDGET) -> bool:
         return search(adj)
     finally:
         del search  # the closure refers to itself: free it without the GC
+
+
+def _skeleton(g: Multigraph) -> dict[int, int]:
+    """The simple skeleton of g as neighbour bitmasks, in vertex order."""
+    adj = {v: 0 for v in range(g.n)}
+    for a, b in g.edges:
+        if a != b:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return adj
 
 
 def _bits(mask: int):
@@ -511,11 +468,12 @@ def _components(adj: dict[int, int]) -> list[int]:
     return comps
 
 
-def _planar(adj: dict[int, int], comp: int) -> bool:
+def _planar_component(adj: dict[int, int], comp: int) -> bool:
+    """The left-right verdict, without embedding, on component comp."""
     verts = list(_bits(comp))
     local = {v: i for i, v in enumerate(verts)}
     rows = [[local[w] for w in _bits(adj[v])] for v in verts]
-    return _lr_planarity(len(verts), rows) is not None
+    return _lr_planarity(rows, False) is not None
 
 
 def _blocks(adj: dict[int, int], comp: int) -> list[int]:

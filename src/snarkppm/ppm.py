@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .minors import has_k5_minor, is_planar
+from .minors import has_k5_minor, planar
 from .multigraph import (
     CubicGraph,
     Cycle,
@@ -348,7 +348,7 @@ NEITHER = "neither"
 def classify_ppm(g: CubicGraph, m: PseudoMatching) -> str:
     """planarizing | k5_minor_free_only | neither, judged on the quotient."""
     cg = contract(g, m)
-    if is_planar(cg.graph) is not None:
+    if planar(cg.graph):
         return PLANARIZING
     if not has_k5_minor(cg.graph):
         return K5_MINOR_FREE_ONLY

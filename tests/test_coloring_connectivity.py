@@ -276,6 +276,11 @@ class TestCyclicConnectivity:
                 for cut in cuts:
                     assert oracles.leaves_two_cyclic_components(g, set(cut))
 
+    def test_empty_graph_has_no_cyclic_cut(self):
+        # No cycles at all, like the graphs without two disjoint cycles.
+        for k in range(1, 7):
+            assert list(cyclic_cuts_up_to(Multigraph(0, []), k)) == []
+
     def test_disconnected_rejected(self):
         two_thetas = Multigraph(4, [(0, 1)] * 3 + [(2, 3)] * 3)
         with pytest.raises(GraphError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -15,8 +16,11 @@ from snarkppm import (
     contract,
     enumerate_ppms,
     flower_snark,
+    goldberg_snark,
     has_k5_minor,
     is_planar,
+    petersen,
+    planar,
 )
 from snarkppm.minors import KMinorUndecidedError
 
@@ -64,6 +68,7 @@ class TestPlanarity:
                 expect = oracles.brute_is_planar(g)
                 emb = is_planar(g)
                 assert (emb is not None) == expect, f"disagree on {g.edges}"
+                assert planar(g) == expect, f"verdict disagrees on {g.edges}"
                 if emb is not None:
                     emb.verify_euler()
                 checked += 1
@@ -100,7 +105,107 @@ class TestPlanarity:
             gx = nx.Graph()
             gx.add_nodes_from(range(n))
             gx.add_edges_from(g.edges)
-            assert (is_planar(g) is not None) == nx.check_planarity(gx)[0]
+            expect = nx.check_planarity(gx)[0]
+            assert (is_planar(g) is not None) == expect
+            assert planar(g) == expect
+
+
+class TestPlanarVerdict:
+    def test_small_cases(self):
+        assert planar(Multigraph(0, []))
+        assert planar(named.k4())
+        assert not planar(named.k5())  # at Mader's bound
+        assert not planar(named.k33())
+        assert not planar(named.petersen_standard())
+        # K3,3 with every edge subdivided and a pendant path at each
+        # vertex: nonplanar only once the reduction has run.
+        edges = []
+        n = 6
+        for a, b in named.k33().edges:
+            edges += [(a, n), (n, b)]
+            n += 1
+        for v in range(6):
+            edges += [(v, n), (n, n + 1)]
+            n += 2
+        assert not planar(Multigraph(n, edges))
+        # A nonplanar component beside a planar one, with a loop and mates:
+        # below Mader's bound, so the kernel runs per component.
+        k4 = list(named.k4().edges) + [(0, 0), (2, 3), (2, 3)]
+        k33 = [(a + 4, b + 4) for a, b in named.k33().edges]
+        assert not planar(Multigraph(10, k4 + k33))
+        assert planar(Multigraph(10, k4 + k33[1:]))
+
+    def test_matches_is_planar_on_corpus(self, connected_graphs_le8):
+        # The oracle's verdicts for n <= 7 are checked in the exhaustive
+        # test above, and criterion 6 checks is_planar against them for
+        # n = 8, so this closes the loop on every corpus graph.
+        planar_count = 0
+        for n in range(1, 9):
+            for g in connected_graphs_le8[n]:
+                expect = is_planar(g) is not None
+                assert planar(g) == expect, g.edges
+                planar_count += expect
+        assert planar_count == 6749
+
+    def test_random_multigraphs_vs_oracle(self):
+        # Loops, parallel edges and up to three components.
+        rng = random.Random(1213)
+        verdicts = {True: 0, False: 0}
+        for _ in range(400):
+            g = _random_multigraph(rng, max_n=9, density=8)
+            expect = oracles.brute_is_planar(g)
+            assert planar(g) == expect, g.edges
+            assert (is_planar(g) is not None) == expect, g.edges
+            verdicts[expect] += 1
+        assert min(verdicts.values()) > 100, verdicts
+
+
+def _random_multigraph(rng: random.Random, max_n=10, density=3) -> Multigraph:
+    """Up to three random pieces side by side, with loops and parallel
+    edges, on at most max_n vertices in all; a piece on k vertices has at
+    most density * k edges."""
+    edges = []
+    n = 0
+    for _piece in range(rng.randint(1, 3)):
+        k = rng.randint(1, max_n - n) if n < max_n else 0
+        for _e in range(rng.randint(0, density * k)):
+            edges.append((n + rng.randrange(k), n + rng.randrange(k)))
+        n += k
+    return Multigraph(max(n, 1), edges)
+
+
+def _family_quotients() -> list[Multigraph]:
+    insts = [petersen()]
+    insts += [blanusa_snark(n, j) for n in (1, 2, 3) for j in (1, 2)]
+    insts += [flower_snark(k) for k in (3, 5, 7, 9)]
+    insts += [goldberg_snark(k) for k in (5, 7)]
+    return [contract(i.graph, i.designated_ppm).graph for i in insts]
+
+
+class TestEmbeddingPin:
+    # SHA-256 of the is_planar rotations, vertex by vertex, of every input
+    # below. The star drawings are seeded by these rotations, so any change
+    # to the planarity kernel must keep them byte for byte.
+    DIGEST = "eee12bb43f22f4bb7989cae7169fc3418a6ec781f7469956fb3ff8070e8e1f8c"
+
+    def test_rotations_pinned(self, connected_graphs_le8):
+        graphs = [g for n in range(1, 9) for g in connected_graphs_le8[n]]
+        graphs += _family_quotients()
+        for j in (1, 2):
+            g = blanusa_snark(2, j).graph
+            graphs += [contract(g, m).graph for m in enumerate_ppms(g)]
+        rng = random.Random(1212)
+        graphs += [_random_multigraph(rng) for _ in range(500)]
+        digest = hashlib.sha256()
+        planar = 0
+        for g in graphs:
+            emb = is_planar(g)
+            if emb is not None:
+                planar += 1
+                digest.update(repr([emb.rotation[v] for v in range(g.n)]).encode())
+            digest.update(b"\n")
+        assert (len(graphs), planar) == (13048, 7477)
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestK5Minor:
