@@ -15,7 +15,7 @@ edges and the rest. The second halves are taken by their least edge i, in
 ascending order, and each one's XOR is looked up in a dict of first halves
 keyed by XOR. A first half enters the dict just before the first i above
 its last edge, so every hit is a c-set with XOR 0, found once; a set is
-built only on a hit.
+built only on a hit. The lists of halves are built once for all sizes.
 
 If K is a cyclic component of G - S, then delta(V(K)) lies in S and is itself
 a cyclic cut, so every cyclic cut is a zero-XOR cyclic cut plus zero or more
@@ -66,6 +66,8 @@ def cyclic_cuts_up_to(g: Multigraph, max_size: int) -> Iterator[frozenset[int]]:
 def _cyclic_cuts(
     g: Multigraph, labels: list[int], max_size: int
 ) -> Iterator[frozenset[int]]:
+    heads: list[list] = [[(0, ())]]  # _xor_combos lists, shared by all sizes
+    tails: list[list] = [[(0, ())]]
     space_cuts: list[frozenset[int]] = []  # zero-XOR cyclic cuts of smaller sizes
     for size in range(1, max_size + 1):
         grown = {
@@ -73,7 +75,7 @@ def _cyclic_cuts(
             for base in space_cuts
             for extra in combinations(set(range(g.m)) - base, size - len(base))
         }
-        for cut in _zero_xor_sets(labels, size):
+        for cut in _zero_xor_sets(labels, size, heads, tails):
             grown.discard(cut)
             if _is_cyclic_cut(g, labels, cut):
                 space_cuts.append(cut)
@@ -107,44 +109,54 @@ def _cycle_labels(g: Multigraph) -> list[int]:
     return labels
 
 
-def _zero_xor_sets(labels: list[int], size: int) -> Iterator[frozenset[int]]:
+def _zero_xor_sets(
+    labels: list[int], size: int, heads: list[list], tails: list[list]
+) -> Iterator[frozenset[int]]:
     """Every edge set of the given size whose labels XOR to 0, each once.
 
     The set splits into a first half, its size // 2 least edges, and a
     second half: an edge i and a tail of later edges. For i ascending, the
     first halves that end before i enter the dict, so every hit is a valid
     set. XORs are carried from prefix to combination (``_xor_combos``), and
-    a set is built only on a hit."""
+    a set is built only on a hit. ``heads`` and ``tails`` hold the
+    combination lists of the edges and of the reversed edges, shared by all
+    sizes. The dict is built again for each size: a full one from an
+    earlier size would also hit on first halves that overlap the tail."""
     low, rest = size // 2, size - size // 2 - 1
     last = len(labels) - 1
-    firsts = _xor_combos(labels, low)
+    firsts = _xor_combos(heads, labels, low)
     # Tails over the reversed edge list: edge last - e for each entry e, so
     # the tails that start after i are the first comb(last - i, rest).
-    tails = _xor_combos(labels[::-1], rest)
+    ends = _xor_combos(tails, labels[::-1], rest)
     halves: dict[int, list[tuple[int, ...]]] = {}
     added = 0
     for i, label in enumerate(labels):
         for x, first in firsts[added : comb(i, low)]:
             halves.setdefault(x, []).append(first)
         added = comb(i, low)
-        for x, tail in tails[: comb(last - i, rest)]:
+        for x, tail in ends[: comb(last - i, rest)]:
             if x ^ label in halves:
                 for first in halves[x ^ label]:
                     yield frozenset((*first, i, *(last - e for e in tail)))
 
 
-def _xor_combos(labels: list[int], r: int) -> list[tuple[int, tuple[int, ...]]]:
+def _xor_combos(
+    lists: list[list[tuple[int, tuple[int, ...]]]], labels: list[int], r: int
+) -> list[tuple[int, tuple[int, ...]]]:
     """(XOR of labels, edge ids) of every r-set of edges, in colex order (by
     last edge, then by the rest), so the sets inside range(j) come first,
-    comb(j, r) of them. Each XOR is carried from the set's prefix."""
-    out: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-    for k in range(r):
-        out = [
-            (x ^ label, (*c, e))
-            for e, label in enumerate(labels)
-            for x, c in out[: comb(e, k)]
-        ]
-    return out
+    comb(j, r) of them. ``lists`` caches them by r, from [[(0, ())]] on;
+    each XOR is carried from the set's prefix."""
+    while len(lists) <= r:
+        k = len(lists) - 1
+        lists.append(
+            [
+                (x ^ label, (*c, e))
+                for e, label in enumerate(labels)
+                for x, c in lists[k][: comb(e, k)]
+            ]
+        )
+    return lists[r]
 
 
 def _is_cyclic_cut(g: Multigraph, labels: list[int], cut: frozenset[int]) -> bool:

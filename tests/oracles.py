@@ -4,8 +4,8 @@ Everything here is deliberately written with different techniques than the
 implementations under test: planarity via forbidden-minor partition
 enumeration, cuts via raw subset enumeration, pseudo-matchings via edge
 subset filtering, perfect matchings by deciding the edges in index order,
-3-edge-colorability by Tait's perfect-matching criterion, and a
-from-scratch graph6 decoder.
+3-edge-colorability by Tait's perfect-matching criterion, 4-pole color sets
+by listing every coloring of the pole, and a from-scratch graph6 decoder.
 """
 
 from __future__ import annotations
@@ -307,6 +307,50 @@ def brute_3_edge_colorable(g: Multigraph) -> bool:
         if not odd:
             return True
     return False
+
+
+def brute_color_set(g: Multigraph, side: set[int]) -> set[str]:
+    """The boundary types of the 4-pole of ``side``: its vertices, the edges
+    with an end among them, and the four edges with one end outside (its
+    dangling edges, taken in edge-id order). Lists every assignment of
+    colors 1-3 to the pole's edges, edge by edge, that is proper at the
+    side's vertices, and names the dangling colors c0..c3 by which of them
+    are equal: aaaa, aabb (c0 = c1), abab (c0 = c2) or abba (c0 = c3)."""
+    pole = [e for e, (a, b) in enumerate(g.edges) if a in side or b in side]
+    dangling = [e for e in pole if (g.edges[e][0] in side) != (g.edges[e][1] in side)]
+    assert len(dangling) == 4
+    used: dict[int, set[int]] = {v: set() for v in side}
+    color: dict[int, int] = {}
+    found: set[str] = set()
+
+    def extend(k: int) -> None:
+        if k == len(pole):
+            c0, c1, c2, c3 = (color[e] for e in dangling)
+            if c0 == c1 == c2 == c3:
+                found.add("aaaa")
+            elif c0 == c1 and c2 == c3:
+                found.add("aabb")
+            elif c0 == c2 and c1 == c3:
+                found.add("abab")
+            else:
+                assert c0 == c3 and c1 == c2, "a coloring breaks the Parity Lemma"
+                found.add("abba")
+            return
+        a, b = g.edges[pole[k]]
+        if a == b:
+            return  # a loop meets itself
+        ends = [v for v in (a, b) if v in side]
+        for c in (1, 2, 3):
+            if all(c not in used[v] for v in ends):
+                for v in ends:
+                    used[v].add(c)
+                color[pole[k]] = c
+                extend(k + 1)
+                for v in ends:
+                    used[v].discard(c)
+
+    extend(0)
+    return found
 
 
 # ---------------------------------------------------------------------------
