@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .embedding import Dart, PlanarEmbedding, face_successor, trace_faces
-from .minors import is_planar, planar
+from .minors import is_planar
 from .multigraph import CubicGraph, GraphError, Multigraph
 from .ppm import (
     Component,
@@ -631,16 +631,15 @@ def seek_planarizing_drawing(g: CubicGraph, m: PseudoMatching) -> Drawing | None
     if bad is not None:
         raise GraphError(f"invalid PPM: {bad.message}")
     cg = contract(g, m)
-    if not planar(cg.graph):
-        return None
     mg = g.graph
 
-    # Embed the loopless skeleton; loops are internal to their patches.
+    # Embed the loopless quotient (loops never change planarity, and they
+    # stay internal to their patches).
     nonloop = [qe for qe, (a, b) in enumerate(cg.graph.edges) if a != b]
     skeleton = Multigraph(cg.graph.n, [cg.graph.edges[qe] for qe in nonloop])
     sk_emb = is_planar(skeleton)
     if sk_emb is None:
-        raise GraphError("loopless quotient of a planar graph must embed")
+        return None
     internal: dict[int, list[int]] = {}
     for qe, (a, b) in enumerate(cg.graph.edges):
         if a == b:

@@ -10,19 +10,18 @@ It runs in one of two modes:
   mode on the simple skeleton of each component, splices parallel edges
   and loops back into the rotation, and checks the result against Euler's
   formula. The drawing code calls it for the rotations it draws on.
-- without it, it returns only the verdict. ``planar`` uses this mode
-  after reducing the skeleton, and so does each node of the K5-minor
-  search. ``classify_ppm`` and the census ask ``planar``, as they never
-  use an embedding.
+- without it, it returns only the verdict. ``planar`` and each node of the
+  K5-minor search use this mode.
 
-K5-minor detection is an exact reduce-and-contract search on the simple
-skeleton as bitmasks: at each node it deletes vertices of degree at most 1,
-suppresses those of degree 2, answers at once below 5 vertices, at Mader's
-bound m >= 3n - 5 and on planar graphs (the verdict per component),
-splits at cut vertices, and otherwise branches on edge contractions,
-remembering the reduced graphs already refuted. It raises
+Both verdicts start from the skeleton's neighbour bitmasks and one settle
+step (``_settle``): delete vertices of degree at most 1, suppress those of
+degree 2, then answer below 5 vertices and at Mader's bound m >= 3n - 5.
+The K5-minor search then answers planar graphs (the verdict per
+component), splits at cut vertices, and otherwise branches on edge
+contractions, remembering the reduced graphs already refuted. It raises
 ``KMinorUndecidedError`` if the node budget runs out instead of ever
-returning a silent false.
+returning a silent false. ``classify_ppm`` asks it before ``planar``, so
+the planarity of a quotient with a K5 minor is tested once, at the root.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ def is_planar(g: Multigraph) -> PlanarEmbedding | None:
     bounds its own bigon face) and loops as trivial faces, so multi-edges
     never change the answer but do appear in the rotation.
     """
-    # Collapse to a simple skeleton; remember loops and parallel classes.
+    # Remember loops and parallel classes; the kernel sees the skeleton.
     loops: list[list[int]] = [[] for _ in range(g.n)]
     para: dict[tuple[int, int], list[int]] = {}
     for e, (a, b) in enumerate(g.edges):
@@ -55,24 +54,18 @@ def is_planar(g: Multigraph) -> PlanarEmbedding | None:
             loops[a].append(e)
         else:
             para.setdefault((a, b) if a < b else (b, a), []).append(e)
-    nbrs: list[list[int]] = [[] for _ in range(g.n)]
-    for a, b in para:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-
+    adj = _skeleton(g)
     rotation: dict[int, list[Dart]] = {v: [] for v in range(g.n)}
-    for comp in g.connected_components():
-        local = {v: i for i, v in enumerate(comp)}
-        simple_rot = _lr_planarity(
-            [sorted(local[w] for w in nbrs[v]) for v in comp], True
-        )
+    for comp in _components(adj):
+        verts = list(_bits(comp))
+        simple_rot = _lr_planarity(_rows(adj, verts), True)
         if simple_rot is None:
             return None
         # Expand the skeleton rotation into darts with parallels spliced in.
-        for v, row in zip(comp, simple_rot):
+        for v, row in zip(verts, simple_rot):
             darts = rotation[v]
             for lu in row:
-                u = comp[lu]
+                u = verts[lu]
                 # Nest parallels: clockwise at the lower endpoint, reversed
                 # at the other, so consecutive mates bound bigons.
                 if v < u:
@@ -92,18 +85,14 @@ def planar(g: Multigraph) -> bool:
     """True iff g is planar: the verdict of ``is_planar`` without building
     an embedding.
 
-    Works on the reduced simple skeleton (vertices of degree at most 1
-    deleted, those of degree 2 suppressed, which keeps planarity): planar
-    below 5 vertices, nonplanar at m >= 3n - 5, and otherwise planar iff
-    the left-right test passes on every component.
+    ``_settle`` reduces the simple skeleton and answers where its bounds
+    reach (planar below 5 vertices, nonplanar at m >= 3n - 5); otherwise g
+    is planar iff the left-right test passes on every component.
     """
     adj = _skeleton(g)
-    _reduce(adj)
-    n = len(adj)
-    if n < 5:
-        return True
-    if sum(a.bit_count() for a in adj.values()) >= 2 * (3 * n - 5):
-        return False
+    k5 = _settle(adj)
+    if k5 is not None:
+        return not k5
     return all(_planar_component(adj, comp) for comp in _components(adj))
 
 
@@ -355,13 +344,12 @@ def has_k5_minor(g: Multigraph, node_budget: int = DEFAULT_K5_BUDGET) -> bool:
 
     Exact search over edge contractions of the simple skeleton, which holds
     a K5 minor iff some sequence of contractions yields K5 as a subgraph.
-    Each search node first reduces the graph (delete vertices of degree at
-    most 1, suppress those of degree 2), then decides it outright where it
-    can: fewer than 5 vertices, Mader's bound m >= 3n - 5, planarity. A
-    nonplanar graph with cut vertices is split into its blocks, since K5 is
-    2-connected; a nonplanar block is branched on by contracting each edge,
-    fewest common neighbours (hence fewest lost edges) first. Reduced
-    graphs already refuted are remembered. Every node counts against
+    Each search node is first settled by ``_settle`` where it can (reduce,
+    then fewer than 5 vertices or Mader's bound), then by the memo of
+    reduced graphs already refuted, then by planarity. A nonplanar graph
+    with cut vertices is split into its blocks, since K5 is 2-connected; a
+    nonplanar block is branched on by contracting each edge, fewest common
+    neighbours (hence fewest lost edges) first. Every node counts against
     ``node_budget``; running out raises ``KMinorUndecidedError``.
     """
     adj = _skeleton(g)
@@ -377,12 +365,9 @@ def has_k5_minor(g: Multigraph, node_budget: int = DEFAULT_K5_BUDGET) -> bool:
             raise KMinorUndecidedError(
                 f"K5-minor search exceeded node budget {node_budget}"
             )
-        _reduce(adj)
-        n = len(adj)
-        if n < 5:
-            return False
-        if sum(a.bit_count() for a in adj.values()) >= 2 * (3 * n - 5):
-            return True
+        found = _settle(adj)
+        if found is not None:
+            return found
         key = tuple(adj.items())
         if key in refuted:
             return False
@@ -412,12 +397,7 @@ def has_k5_minor(g: Multigraph, node_budget: int = DEFAULT_K5_BUDGET) -> bool:
 
 def _skeleton(g: Multigraph) -> dict[int, int]:
     """The simple skeleton of g as neighbour bitmasks, in vertex order."""
-    adj = {v: 0 for v in range(g.n)}
-    for a, b in g.edges:
-        if a != b:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-    return adj
+    return {v: g.adjacency_mask(v) for v in range(g.n)}
 
 
 def _bits(mask: int):
@@ -431,8 +411,14 @@ def _mask(adj: dict[int, int]) -> int:
     return sum(1 << v for v in adj)
 
 
-def _reduce(adj: dict[int, int]) -> None:
-    """Delete vertices of degree <= 1 and suppress those of degree 2, in place."""
+def _settle(adj: dict[int, int]) -> bool | None:
+    """Reduce adj in place, then answer the K5-minor question where a bound
+    settles it: False below 5 vertices (so planar), True at Mader's bound
+    m >= 3n - 5 (so nonplanar), None otherwise.
+
+    The reduction deletes vertices of degree <= 1 and suppresses those of
+    degree 2, which keeps both planarity and K5 minors.
+    """
     todo = [v for v, a in adj.items() if a.bit_count() <= 2]
     while todo:
         v = todo.pop()
@@ -449,6 +435,12 @@ def _reduce(adj: dict[int, int]) -> None:
             a, b = ends
             adj[a] |= 1 << b
             adj[b] |= 1 << a
+    n = len(adj)
+    if n < 5:
+        return False
+    if sum(a.bit_count() for a in adj.values()) >= 2 * (3 * n - 5):
+        return True
+    return None
 
 
 def _components(adj: dict[int, int]) -> list[int]:
@@ -468,12 +460,16 @@ def _components(adj: dict[int, int]) -> list[int]:
     return comps
 
 
+def _rows(adj: dict[int, int], verts: list[int]) -> list[list[int]]:
+    """Sorted adjacency rows of the subgraph on verts (ascending), in the
+    local indices 0..len(verts) - 1 that ``_lr_planarity`` takes."""
+    local = {v: i for i, v in enumerate(verts)}
+    return [[local[w] for w in _bits(adj[v])] for v in verts]
+
+
 def _planar_component(adj: dict[int, int], comp: int) -> bool:
     """The left-right verdict, without embedding, on component comp."""
-    verts = list(_bits(comp))
-    local = {v: i for i, v in enumerate(verts)}
-    rows = [[local[w] for w in _bits(adj[v])] for v in verts]
-    return _lr_planarity(rows, False) is not None
+    return _lr_planarity(_rows(adj, list(_bits(comp))), False) is not None
 
 
 def _blocks(adj: dict[int, int], comp: int) -> list[int]:

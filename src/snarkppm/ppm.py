@@ -346,13 +346,16 @@ NEITHER = "neither"
 
 
 def classify_ppm(g: CubicGraph, m: PseudoMatching) -> str:
-    """planarizing | k5_minor_free_only | neither, judged on the quotient."""
-    cg = contract(g, m)
-    if planar(cg.graph):
-        return PLANARIZING
-    if not has_k5_minor(cg.graph):
-        return K5_MINOR_FREE_ONLY
-    return NEITHER
+    """planarizing | k5_minor_free_only | neither, judged on the quotient.
+
+    A K5 minor settles it (nonplanar), so the quotient's planarity is
+    tested once, at the search's root; only a K5-minor-free quotient is
+    asked ``planar``.
+    """
+    q = contract(g, m).graph
+    if has_k5_minor(q):
+        return NEITHER
+    return PLANARIZING if planar(q) else K5_MINOR_FREE_ONLY
 
 
 def ppm_from_dominating_cycle(g: CubicGraph, c: Cycle) -> PseudoMatching:

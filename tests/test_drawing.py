@@ -9,6 +9,7 @@ import pytest
 import named
 from snarkppm import (
     CubicGraph,
+    GraphError,
     Multigraph,
     PLANARIZING,
     crossings_component_local,
@@ -24,6 +25,7 @@ from snarkppm import (
     validate_drawing,
 )
 import snarkppm.drawing
+from snarkppm.constructions import _small_drawing_orders
 from snarkppm.drawing import _PlanarityMemo, _planar_subgraph
 from snarkppm.embedding import PlanarEmbedding
 from snarkppm.minors import is_planar
@@ -78,15 +80,6 @@ class TestDrawMAvoiding:
         d = draw_m_avoiding(inst.graph, inst.designated_ppm)
         dot = drawing_to_dot(d)
         assert "square" in dot and "--" in dot
-
-
-def _small_drawing_orders(non_m: list[int]) -> list[list[int]]:
-    """The edge orders constructions._small_drawing tries, in its order."""
-    out = []
-    for shift in range(0, len(non_m), max(1, len(non_m) // 12)):
-        rotated = non_m[shift:] + non_m[:shift]
-        out += [rotated, list(reversed(rotated))]
-    return out
 
 
 class TestPlanarSubgraph:
@@ -246,6 +239,42 @@ class TestSeekPlanarizing:
         d = seek_planarizing_drawing(g, m)
         assert d is not None and d.crossings == ()
         assert crossings_component_local(g, m, d)
+
+    def test_failed_patch_retries_from_its_crossed_set(self, monkeypatch):
+        # Every patch's first try routes in full, marks one more pair as
+        # crossed and then fails; each retry must start from the crossed
+        # set the failed try started from, and the drawing come out whole.
+        real = snarkppm.drawing._try_patch
+        marker = frozenset((-1, -2))
+
+        def first_try_fails(mg, cg, darts, order, comp, internal, router):
+            tries = starts.setdefault(comp, [])
+            tries.append(set(router.crossed))
+            result = real(mg, cg, darts, order, comp, internal, router)
+            if len(tries) == 1:
+                router.crossed.add(marker)
+                raise GraphError("forced failure")
+            return result
+
+        monkeypatch.setattr(snarkppm.drawing, "_try_patch", first_try_fails)
+        seen_crossed = False
+        for inst in (
+            petersen(), flower_snark(5), blanusa_snark(2, 1), goldberg_snark(5)
+        ):
+            starts: dict = {}
+            g, m = inst.graph, inst.designated_ppm
+            d = seek_planarizing_drawing(g, m)
+            assert d is not None
+            validate_drawing(d)
+            assert crossings_component_local(g, m, d)
+            assert len(starts) == len(m.components)
+            for tries in starts.values():
+                assert len(tries) >= 2
+                assert all(t == tries[0] for t in tries)
+                assert marker not in tries[0]
+                seen_crossed |= bool(tries[0])
+        # Some patch started after earlier patches had crossed pairs.
+        assert seen_crossed
 
 
 class TestComponentLocalBiconditional:

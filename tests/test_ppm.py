@@ -15,6 +15,7 @@ from snarkppm import (
     NEITHER,
     PLANARIZING,
     PseudoMatching,
+    blanusa_snark,
     classify_ppm,
     complement_cycles,
     contract,
@@ -30,6 +31,7 @@ from snarkppm import (
     validate_ppm,
     write_ppm,
 )
+from snarkppm import minors
 
 C0 = [1, 2, 3, 4, 9, 7, 5, 8, 6]  # the designated 9-cycle in petersen() labels
 
@@ -215,6 +217,39 @@ class TestClassify:
                     assert not has_k5_minor(quotient)
                 elif cls == K5_MINOR_FREE_ONLY:
                     assert is_planar(quotient) is None
+
+
+    def test_neither_takes_only_the_searchs_planarity_tests(self, monkeypatch):
+        # A quotient with a K5 minor is classified by the search alone: no
+        # left-right test beyond those has_k5_minor makes on its own.
+        calls = [0]
+        kernel = minors._lr_planarity
+
+        def counted(adj, embed):
+            calls[0] += 1
+            return kernel(adj, embed)
+
+        monkeypatch.setattr(minors, "_lr_planarity", counted)
+
+        def tests_made(f, *args):
+            before = calls[0]
+            return f(*args), calls[0] - before
+
+        neither = tested = 0
+        for inst in (petersen(), blanusa_snark(2, 1), blanusa_snark(2, 2)):
+            g = inst.graph
+            for m in enumerate_ppms(g):
+                cls, by_class = tests_made(classify_ppm, g, m)
+                if cls != NEITHER:
+                    continue
+                found, by_search = tests_made(has_k5_minor, contract(g, m).graph)
+                assert found
+                assert by_class == by_search, m
+                neither += 1
+                tested += by_search > 0
+        # Most quotients reach the kernel at the search's root: Mader's
+        # bound alone settles the others without a test.
+        assert (neither, tested) == (178, 170)
 
 
 class TestDominatingComplement:
