@@ -15,9 +15,9 @@ from .canonical import are_isomorphic
 from .coloring import is_snark
 from .connectivity import cyclic_cuts_up_to, cyclic_edge_connectivity_at_least
 from .cycles import CDC, Cycle, CycleSet, cycle_from_vertices, verify_cycle_set
-from .drawing import Drawing, _DrawingSearch
+from .drawing import Drawing, _DrawingSearch, draw_m_avoiding
 from .families import B0
-from .multigraph import CubicGraph, GraphError, Multigraph, girth
+from .multigraph import CubicGraph, GraphError, Multigraph
 from .ppm import (
     Component,
     K2Component,
@@ -133,7 +133,7 @@ def star_construction(
 
     The result has 8 more vertices per crossing, extends m, and its extended
     pseudo-matching is planarizing (asserted). A precomputed drawing of
-    (g, m) may be supplied; by default one is built.
+    (g, m) may be supplied; by default ``draw_m_avoiding`` draws one.
     """
     if not cyclic_edge_connectivity_at_least(g, 4):
         raise GraphError("star construction requires cyclic 4-edge-connectivity")
@@ -141,7 +141,7 @@ def star_construction(
     if bad is not None:
         raise GraphError(f"invalid PPM: {bad.message}")
     if drawing is None:
-        drawing = _small_drawing(g, m)
+        drawing = draw_m_avoiding(g, m)
     elif drawing.base is not g or drawing.ppm is not m:
         if drawing.base.graph.edges != g.graph.edges:
             raise GraphError("drawing belongs to a different graph")
@@ -179,55 +179,6 @@ def star_construction(
     if classify_ppm(star, cur_m) != PLANARIZING:
         raise GraphError("star pseudo-matching failed to planarize")
     return StarResult(star, cur_m, tuple(records), drawing)
-
-
-def _small_drawing(g: CubicGraph, m: PseudoMatching) -> Drawing:
-    """Fewest-crossing drawing over a bounded deterministic order search.
-
-    Every candidate is the draw_m_avoiding drawing of one of
-    ``_small_drawing_orders``; the smallest crossing list wins (first
-    found). The candidates are routed by one ``_DrawingSearch``, so they
-    share its planarity answers, and only the winner is finished and
-    validated. Each edge the greedy rejects crosses at least once when it
-    is routed (else the kept set plus that edge would be planar), so an
-    order is dropped as soon as its rejections reach the best crossing
-    count so far: it cannot be strictly better. The search stops at a
-    drawing with no more crossings than a lower bound on every drawing:
-    deleting one edge per crossing of a simple graph with girth g leaves a
-    planar graph of girth at least g, which has at most g(n - 2)/(g - 2)
-    edges. For a multigraph the bound is 0.
-    """
-    floor = 0
-    if g.simple and g.n >= 3:
-        gi = girth(g.graph)
-        floor = g.graph.m - gi * (g.n - 2) // (gi - 2)
-    search = _DrawingSearch(g, m)
-    best = None
-    for order in _small_drawing_orders(search.non_m):
-        try:
-            c = search.route(order, None if best is None else len(best.crossings))
-        except GraphError:
-            continue
-        if c is None:
-            continue
-        if best is None or len(c.crossings) < len(best.crossings):
-            best = c
-        if len(best.crossings) <= floor:
-            return search.finish(best)
-    if best is None:
-        raise GraphError("no drawing produced")
-    return search.finish(best)
-
-
-def _small_drawing_orders(non_m: list[int]) -> list[list[int]]:
-    """The edge orders ``_small_drawing`` tries, in turn: about 12 rotations
-    of the non-matching edges, each followed by its reverse."""
-    stride = max(1, len(non_m) // 12)
-    orders = []
-    for shift in range(0, len(non_m), stride):
-        rotated = non_m[shift:] + non_m[:shift]
-        orders += [rotated, rotated[::-1]]
-    return orders
 
 
 def _find_span(span_list: list[_Span], ci: int) -> tuple[_Span, int]:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .embedding import Dart, PlanarEmbedding, face_successor, trace_faces
 from .minors import is_planar
-from .multigraph import CubicGraph, GraphError, Multigraph
+from .multigraph import CubicGraph, GraphError, Multigraph, girth
 from .ppm import (
     Component,
     ContractedGraph,
@@ -314,30 +314,64 @@ class _Planarizer:
 # ---------------------------------------------------------------------------
 
 
-def draw_m_avoiding(
-    g: CubicGraph, m: PseudoMatching, edge_order: list[int] | None = None
-) -> Drawing:
-    """Draw g so that all crossings avoid the pseudo-matching edges.
+def draw_m_avoiding(g: CubicGraph, m: PseudoMatching) -> Drawing:
+    """Draw g so that all crossings avoid the pseudo-matching edges, with
+    few crossings (not minimal).
 
-    Starts from a greedy maximal planar subgraph seeded with the matching,
-    then inserts each leftover edge along a shortest face path, one dummy
-    per crossed segment. Crossing counts are heuristic, not minimal.
-    ``edge_order`` varies the greedy consideration and routing order of the
-    non-matching edges (default: ascending edge index).
+    Each candidate starts from a greedy maximal planar subgraph seeded with
+    the matching, then inserts each leftover edge along a shortest face
+    path, one dummy per crossed segment (the planarization method). The
+    candidates are the edge orders of ``_search_orders``; the fewest
+    crossings win, the first found on a tie. One ``_DrawingSearch`` routes
+    them, so they share its planarity answers, and only the winner is
+    finished and validated.
 
     The greedy (``_planar_subgraph``) keeps a rotation system of the kept
     edges and accepts an edge that joins two components, is a loop, or
     joins two vertices of one face; only the other edges take a planarity
     test, and every rejection comes from that test. The kept set is
-    re-embedded by ``is_planar`` to seed the planarization, so the drawing
-    depends only on g, m and the order. This is one candidate of a
-    ``_DrawingSearch``, which draws many orders of one (g, m) and shares
-    their planarity answers.
+    re-embedded by ``is_planar`` to seed the planarization, so a candidate
+    depends only on g, m and its order. Each rejected edge crosses at
+    least once when it is routed (else the kept set plus that edge would
+    be planar), so an order is dropped as soon as its rejections reach the
+    best crossing count so far: it cannot be strictly better. The search
+    stops at a drawing with no more crossings than a lower bound on every
+    drawing: deleting one edge per crossing of a simple graph with girth g
+    leaves a planar graph of girth at least g, which has at most
+    g(n - 2)/(g - 2) edges. For a multigraph the bound is 0.
     """
+    floor = 0
+    if g.simple and g.n >= 3:
+        gi = girth(g.graph)
+        floor = g.graph.m - gi * (g.n - 2) // (gi - 2)
     search = _DrawingSearch(g, m)
-    if edge_order is None:
-        edge_order = search.non_m
-    return search.finish(search.route(edge_order))
+    best = None
+    for order in _search_orders(search.non_m):
+        try:
+            c = search.route(order, None if best is None else len(best.crossings))
+        except GraphError:
+            continue
+        if c is None:
+            continue
+        if best is None or len(c.crossings) < len(best.crossings):
+            best = c
+        if len(best.crossings) <= floor:
+            break
+    if best is None:
+        raise GraphError("no drawing produced")
+    return search.finish(best)
+
+
+def _search_orders(non_m: list[int]) -> list[list[int]]:
+    """The edge orders ``draw_m_avoiding`` tries, in turn: about 12
+    rotations of the non-matching edges, each followed by its reverse; the
+    one empty order when there are none."""
+    stride = max(1, len(non_m) // 12)
+    orders = []
+    for shift in range(0, len(non_m), stride):
+        rotated = non_m[shift:] + non_m[:shift]
+        orders += [rotated, rotated[::-1]]
+    return orders or [[]]
 
 
 class _PlanarityMemo:
@@ -425,14 +459,13 @@ class _DrawingSearch:
     def route(
         self, edge_order: list[int], max_rejected: int | None = None
     ) -> _Candidate | None:
-        """Greedy planar subgraph under edge_order, then the leftover edges
-        routed in that order; raises GraphError if a route fails. Returns
+        """Greedy planar subgraph under edge_order (the non-matching edges,
+        each once), then the leftover edges routed in that order; raises
+        GraphError if a route fails. Returns
         None as soon as the greedy has rejected max_rejected edges: each
         rejected edge crosses at least once when routed, so the candidate
         would have at least that many crossings."""
         mg = self.mg
-        if sorted(edge_order) != self.non_m:
-            raise GraphError("edge_order must list the non-matching edges")
         kept = _planar_subgraph(mg, self.m_set, edge_order, self.memo, max_rejected)
         if kept is None:
             return None
@@ -627,9 +660,6 @@ def seek_planarizing_drawing(g: CubicGraph, m: PseudoMatching) -> Drawing | None
     vertices of one component) never leave their disk and are routed there
     directly. Returns None when G/M is nonplanar.
     """
-    bad = validate_ppm(g, m)
-    if bad is not None:
-        raise GraphError(f"invalid PPM: {bad.message}")
     cg = contract(g, m)
     mg = g.graph
 

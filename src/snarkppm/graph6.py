@@ -96,19 +96,6 @@ def write_graph6(g: Multigraph) -> str:
     return bytes(out).decode("ascii")
 
 
-def read_graph6_lines(text: str, cap: int = VERTEX_CAP) -> list[Multigraph]:
-    """Parse a whole file; blank lines are skipped. Errors carry line numbers."""
-    graphs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            graphs.append(parse_graph6(line, cap=cap))
-        except Graph6Error as exc:
-            raise Graph6Error(f"line {lineno}: {exc}") from exc
-    return graphs
-
-
 def _is_ascii(s: str) -> bool:
     try:
         s.encode("ascii")

@@ -180,27 +180,12 @@ def enumerate_ppms(
             covered[v] = covered[w] = False
         if perfect_matchings_only:
             return
-        # Claw centered at v.
-        claw = claw_at(v)
-        if claw is not None:
-            touched = [v] + [mg.other_end(e, v) for e in claw.leaf_edges]
-            for x in touched:
-                covered[x] = True
-            parts.append(claw)
-            yield from rec(v + 1)
-            parts.pop()
-            for x in touched:
-                covered[x] = False
-        # Claw centered at an uncovered neighbour of v (v is a leaf).
-        for u in sorted(mg.neighbors(v)):
-            if covered[u] or u == v:
-                continue
-            claw = claw_at(u)
+        # The claw centered at v, then at each uncovered neighbour of v.
+        for u in (v, *sorted(mg.neighbors(v))):
+            claw = None if covered[u] else claw_at(u)
             if claw is None:
                 continue
             touched = [u] + [mg.other_end(e, u) for e in claw.leaf_edges]
-            if v not in touched:
-                continue
             for x in touched:
                 covered[x] = True
             parts.append(claw)

@@ -13,7 +13,9 @@ from snarkppm import (
     CCD,
     CubicGraph,
     GraphError,
+    Multigraph,
     PLANARIZING,
+    PseudoMatching,
     are_isomorphic,
     blanusa_snark,
     cdc_from_ccd,
@@ -110,6 +112,24 @@ class TestStarConstruction:
         assert star.records == ()
         assert star.graph.graph.edges == g.graph.edges
 
+    def test_empty_graph_is_its_own_star(self):
+        star = star_construction(CubicGraph(Multigraph(0, [])), PseudoMatching(()))
+        assert star.graph.n == 0 and star.records == ()
+
+    def test_draws_once(self, monkeypatch):
+        # Counted through the name constructions binds: a tracer that wraps
+        # draw_m_avoiding in each module sees the star's drawing there.
+        calls = []
+
+        def counted(g, m):
+            calls.append(m)
+            return draw_m_avoiding(g, m)
+
+        monkeypatch.setattr(snarkppm.constructions, "draw_m_avoiding", counted)
+        inst = petersen()
+        star_construction(inst.graph, inst.designated_ppm)
+        assert calls == [inst.designated_ppm]
+
     def test_star_preserves_cyclic_4_connectivity(self):
         inst = petersen()
         star = star_construction(inst.graph, inst.designated_ppm)
@@ -191,14 +211,12 @@ class TestSmallDrawing:
     def test_crossing_counts_pinned(self, make, crossings, bench_relabel):
         # The counts of the order search on the benchmark's star inputs,
         # unrelabeled and on 25 seeded relabelings each.
-        from snarkppm.constructions import _small_drawing
-
         inst = make()
         rng = random.Random(1010)
         copies = [(inst.graph, inst.designated_ppm)]
         copies += [bench_relabel(inst.graph, inst.designated_ppm, rng) for _ in range(25)]
         for g, m in copies:
-            d = _small_drawing(g, m)
+            d = draw_m_avoiding(g, m)
             validate_drawing(d)
             assert len(d.crossings) == crossings, g.graph.edges
 
@@ -216,8 +234,7 @@ class TestSmallDrawing:
         # Routing every order in full, with no bound on the greedy's
         # rejections, and keeping the first fewest-crossing candidate gives
         # the same drawing as the bounded search.
-        from snarkppm.constructions import _small_drawing, _small_drawing_orders
-        from snarkppm.drawing import _DrawingSearch
+        from snarkppm.drawing import _DrawingSearch, _search_orders
 
         inst = make()
         rng = random.Random(1111)
@@ -227,7 +244,7 @@ class TestSmallDrawing:
         for g, m in copies:
             search = _DrawingSearch(g, m)
             best = None
-            for order in _small_drawing_orders(search.non_m):
+            for order in _search_orders(search.non_m):
                 try:
                     c = search.route(order)
                 except GraphError:
@@ -238,7 +255,7 @@ class TestSmallDrawing:
                     dropped += 1
                 if best is None or len(c.crossings) < len(best.crossings):
                     best = c
-            assert _small_drawing(g, m) == search.finish(best), g.graph.edges
+            assert draw_m_avoiding(g, m) == search.finish(best), g.graph.edges
         assert dropped
 
 
@@ -249,13 +266,12 @@ class TestReplayOrder:
             _Span,
             _find_span,
             _replace_one,
-            _small_drawing,
             _split_span,
         )
 
         inst = petersen()
         g, m = inst.graph, inst.designated_ppm
-        d = _small_drawing(g, m)
+        d = draw_m_avoiding(g, m)
 
         def replay(order):
             dummy_to_ci = {dd: i for i, dd in enumerate(d.crossing_dummies)}

@@ -10,8 +10,10 @@ import named
 from snarkppm import (
     CubicGraph,
     GraphError,
+    K2Component,
     Multigraph,
     PLANARIZING,
+    PseudoMatching,
     crossings_component_local,
     classify_ppm,
     draw_m_avoiding,
@@ -25,8 +27,12 @@ from snarkppm import (
     validate_drawing,
 )
 import snarkppm.drawing
-from snarkppm.constructions import _small_drawing_orders
-from snarkppm.drawing import _PlanarityMemo, _planar_subgraph
+from snarkppm.drawing import (
+    _DrawingSearch,
+    _PlanarityMemo,
+    _planar_subgraph,
+    _search_orders,
+)
 from snarkppm.embedding import PlanarEmbedding
 from snarkppm.minors import is_planar
 
@@ -81,6 +87,29 @@ class TestDrawMAvoiding:
         dot = drawing_to_dot(d)
         assert "square" in dot and "--" in dot
 
+    def test_invalid_ppm_raises(self):
+        inst = petersen()
+        bad = PseudoMatching((K2Component(0),))
+        with pytest.raises(GraphError, match="invalid PPM"):
+            draw_m_avoiding(inst.graph, bad)
+        with pytest.raises(GraphError, match="invalid PPM"):
+            seek_planarizing_drawing(inst.graph, bad)
+
+    def test_empty_graph(self):
+        d = draw_m_avoiding(CubicGraph(Multigraph(0, [])), PseudoMatching(()))
+        validate_drawing(d)
+        assert d.crossings == ()
+
+    def test_no_worse_than_the_ascending_order(self, cubic_graphs_le8):
+        # The ascending order, once the only default, is the search's first
+        # candidate, so the winner has at most its crossings.
+        for g in [petersen().graph] + [CubicGraph(g) for g in cubic_graphs_le8]:
+            for m in enumerate_ppms(g):
+                search = _DrawingSearch(g, m)
+                ascending = search.route(search.non_m)
+                d = draw_m_avoiding(g, m)
+                assert len(d.crossings) <= len(ascending.crossings), g.graph.edges
+
 
 class TestPlanarSubgraph:
     def test_equals_one_test_per_edge_greedy(self, cubic_graphs_le8):
@@ -100,7 +129,7 @@ class TestPlanarSubgraph:
             g, m = inst.graph, inst.designated_ppm
             m_set = m.edge_set(g.graph)
             non_m = [e for e in range(g.graph.m) if e not in m_set]
-            cases += [(g, m_set, order) for order in _small_drawing_orders(non_m)]
+            cases += [(g, m_set, order) for order in _search_orders(non_m)]
         graphs = [petersen().graph] + [CubicGraph(g) for g in cubic_graphs_le8]
         graphs += [
             CubicGraph(Multigraph(2, [(0, 1)] * 3)),
