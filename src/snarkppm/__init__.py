@@ -83,6 +83,7 @@ from .ppm import (
     enumerate_ppms,
     parse_ppm,
     ppm_from_dominating_cycle,
+    quotient,
     validate_ppm,
     write_ppm,
 )

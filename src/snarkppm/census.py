@@ -21,6 +21,7 @@ from .ppm import (
     complement_cycles,
     contract,
     enumerate_ppms,
+    quotient,
     validate_ppm,
     write_ppm,
 )
@@ -112,7 +113,7 @@ def _best_class(
             raise CensusTimeout
         if best == K5_MINOR_FREE_ONLY:
             # Only a planarizing PPM can do better: skip the K5-minor test.
-            if not planar(contract(g, m).graph):
+            if not planar(quotient(g, m)[0]):
                 continue
             cls = PLANARIZING
         else:
@@ -143,7 +144,9 @@ def _timeout_ms() -> int | None:
 def census_graph(
     index: int, line: str, mode: str, timeout: int | None = None
 ) -> GraphVerdict:
-    """Verdict for one graph6 line; ``timeout`` is its budget in ms."""
+    """Verdict for one graph6 line; ``timeout`` is its budget in ms, from
+    before the line is parsed, so the snark test counts against it."""
+    deadline = time.monotonic() + timeout / 1000.0 if timeout is not None else None
     g6 = line.strip()
     try:
         mg = parse_graph6(g6)
@@ -155,7 +158,6 @@ def census_graph(
     if not verdict.is_snark:
         return verdict
 
-    deadline = time.monotonic() + timeout / 1000.0 if timeout is not None else None
     best: tuple[str | None, PseudoMatching | None] = (None, None)
     try:
         if mode in ("pm", "both"):

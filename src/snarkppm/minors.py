@@ -16,12 +16,18 @@ It runs in one of two modes:
 Both verdicts start from the skeleton's neighbour bitmasks and one settle
 step (``_settle``): delete vertices of degree at most 1, suppress those of
 degree 2, then answer below 5 vertices and at Mader's bound m >= 3n - 5.
-The K5-minor search then answers planar graphs (the verdict per
-component), splits at cut vertices, and otherwise branches on edge
-contractions, remembering the reduced graphs already refuted. It raises
-``KMinorUndecidedError`` if the node budget runs out instead of ever
-returning a silent false. ``classify_ppm`` asks it before ``planar``, so
-the planarity of a quotient with a K5 minor is tested once, at the root.
+The K5-minor search first dives: it settles, contracts the edge whose ends
+share the fewest neighbours, and repeats, with no planarity test. Mader's
+bound met on the way proves a K5 minor; that settles nearly every PPM
+quotient of a snark with one. Only a dive that ends below 5 vertices
+leaves the question open, and the exact search then runs from the root:
+it answers planar graphs (the verdict per component), splits at cut
+vertices, and otherwise branches on edge contractions, remembering the
+reduced graphs already refuted. Dive steps and search nodes share one
+budget; running out raises ``KMinorUndecidedError`` instead of ever
+returning a silent false. ``classify_ppm`` asks the search before
+``planar``, so a quotient that the dive settles is never tested for
+planarity at all.
 """
 
 from __future__ import annotations
@@ -342,29 +348,48 @@ DEFAULT_K5_BUDGET = 20_000_000
 def has_k5_minor(g: Multigraph, node_budget: int = DEFAULT_K5_BUDGET) -> bool:
     """True iff g has K5 as a minor.
 
-    Exact search over edge contractions of the simple skeleton, which holds
-    a K5 minor iff some sequence of contractions yields K5 as a subgraph.
-    Each search node is first settled by ``_settle`` where it can (reduce,
-    then fewer than 5 vertices or Mader's bound), then by the memo of
-    reduced graphs already refuted, then by planarity. A nonplanar graph
-    with cut vertices is split into its blocks, since K5 is 2-connected; a
-    nonplanar block is branched on by contracting each edge, fewest common
-    neighbours (hence fewest lost edges) first. Every node counts against
-    ``node_budget``; running out raises ``KMinorUndecidedError``.
+    Works on the simple skeleton, which holds a K5 minor iff some sequence
+    of contractions yields K5 as a subgraph. First a dive follows the
+    search's first contraction from the root: settle the node by
+    ``_settle`` (reduce, then fewer than 5 vertices or Mader's bound) and
+    contract its first edge by ``_edges_by_overlap``, with no planarity
+    test. Mader's bound on the way answers True. A dive that ends below 5
+    vertices proves nothing, and the exact search runs from the root.
+    Each search node is settled by ``_settle`` where it can, then by the
+    memo of reduced graphs already refuted, then by planarity. A nonplanar
+    graph with cut vertices is split into its blocks, since K5 is
+    2-connected; a nonplanar block is branched on by contracting each
+    edge, fewest common neighbours (hence fewest lost edges) first. Every
+    dive step and every search node counts against ``node_budget``;
+    running out raises ``KMinorUndecidedError``.
     """
     adj = _skeleton(g)
     budget = [node_budget]
     refuted: set[tuple[tuple[int, int], ...]] = set()
 
-    # Dicts stay in ascending vertex order throughout (deletions and value
-    # updates keep insertion order), so ``tuple(adj.items())`` identifies
-    # a labelled graph.
-    def search(adj: dict[int, int]) -> bool:
+    def spend() -> None:
         budget[0] -= 1
         if budget[0] < 0:
             raise KMinorUndecidedError(
                 f"K5-minor search exceeded node budget {node_budget}"
             )
+
+    # The dive: a contraction of g that meets Mader's bound is a K5 minor.
+    node = dict(adj)
+    while True:
+        spend()
+        found = _settle(node)
+        if found is not None:
+            break
+        node = _contract(node, *_edges_by_overlap(node)[0])
+    if found:
+        return True
+
+    # Dicts stay in ascending vertex order throughout (deletions and value
+    # updates keep insertion order), so ``tuple(adj.items())`` identifies
+    # a labelled graph.
+    def search(adj: dict[int, int]) -> bool:
+        spend()
         found = _settle(adj)
         if found is not None:
             return found

@@ -261,8 +261,16 @@ class ContractedGraph:
     edge_origin: tuple[int, ...]  # quotient edge -> original edge
 
 
-def contract(g: CubicGraph, m: PseudoMatching) -> ContractedGraph:
-    """Quotient g by the PPM components, with the induced transition system."""
+def quotient(
+    g: CubicGraph, m: PseudoMatching
+) -> tuple[Multigraph, tuple[int, ...], tuple[int, ...]]:
+    """The quotient of g by the PPM components, with ``component_of``
+    (original vertex -> quotient vertex) and ``edge_origin`` (quotient edge
+    -> original edge).
+
+    Raises GraphError unless m is a valid PPM of a connected g and every
+    quotient vertex has degree 4 or 6.
+    """
     bad = validate_ppm(g, m)
     if bad is not None:
         raise GraphError(f"invalid PPM: {bad.message}")
@@ -280,40 +288,43 @@ def contract(g: CubicGraph, m: PseudoMatching) -> ContractedGraph:
     in_m = m.edge_set(mg)
     q_edges = []
     edge_origin = []
-    q_index_of_original: dict[int, int] = {}
     for e, (a, b) in enumerate(mg.edges):
         if e in in_m:
             continue
         qa, qb = component_of[a], component_of[b]
         # qa == qb gives a quotient loop; it happens whenever a complement
         # edge joins two vertices of one component (e.g. two claw leaves).
-        q_index_of_original[e] = len(q_edges)
         q_edges.append((qa, qb))
         edge_origin.append(e)
-    quotient = Multigraph(len(comp_verts), q_edges)
+    q = Multigraph(len(comp_verts), q_edges)
+    for v in range(q.n):
+        deg = q.degree(v)
+        if deg not in (4, 6):
+            raise GraphError(f"quotient vertex {v} has degree {deg}")
+    return q, tuple(component_of), tuple(edge_origin)
 
+
+def contract(g: CubicGraph, m: PseudoMatching) -> ContractedGraph:
+    """Quotient g by the PPM components, with the induced transition system."""
+    q, component_of, edge_origin = quotient(g, m)
     # Transitions: quotient edge pairs consecutive on a complement cycle
     # through the component, i.e. the two non-PPM edges at each original
     # vertex that still has two of them.
-    pairs: list[list[frozenset[int]]] = [[] for _ in range(quotient.n)]
+    q_index = {e: i for i, e in enumerate(edge_origin)}
+    mg = g.graph
+    pairs: list[list[frozenset[int]]] = [[] for _ in range(q.n)]
     for v in range(mg.n):
-        non_m = [e for e in mg.incident_edges(v) if e not in in_m]
+        non_m = [q_index[e] for e in mg.incident_edges(v) if e in q_index]
         if len(non_m) == 2:
-            q = component_of[v]
-            pairs[q].append(
-                frozenset({q_index_of_original[non_m[0]], q_index_of_original[non_m[1]]})
-            )
-    for q in range(quotient.n):
-        deg = quotient.degree(q)
-        if deg not in (4, 6):
-            raise GraphError(f"quotient vertex {q} has degree {deg}")
-        if len(pairs[q]) != deg // 2:
-            raise GraphError(f"quotient vertex {q} has {len(pairs[q])} transitions")
+            pairs[component_of[v]].append(frozenset(non_m))
+    for v in range(q.n):
+        if len(pairs[v]) != q.degree(v) // 2:
+            raise GraphError(f"quotient vertex {v} has {len(pairs[v])} transitions")
     return ContractedGraph(
-        quotient,
+        q,
         TransitionSystem(tuple(tuple(p) for p in pairs)),
-        tuple(component_of),
-        tuple(edge_origin),
+        component_of,
+        edge_origin,
     )
 
 
@@ -333,11 +344,11 @@ NEITHER = "neither"
 def classify_ppm(g: CubicGraph, m: PseudoMatching) -> str:
     """planarizing | k5_minor_free_only | neither, judged on the quotient.
 
-    A K5 minor settles it (nonplanar), so the quotient's planarity is
-    tested once, at the search's root; only a K5-minor-free quotient is
-    asked ``planar``.
+    Reads the quotient graph alone, so it builds no transition system. A
+    K5 minor settles it (nonplanar): usually by the search's dive, with no
+    planarity test. Only a K5-minor-free quotient is asked ``planar``.
     """
-    q = contract(g, m).graph
+    q = quotient(g, m)[0]
     if has_k5_minor(q):
         return NEITHER
     return PLANARIZING if planar(q) else K5_MINOR_FREE_ONLY

@@ -5,11 +5,12 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import named
-from snarkppm import blanusa_snark, parse_graph6, petersen, ppm, write_graph6
+from snarkppm import blanusa_snark, census, parse_graph6, petersen, ppm, write_graph6
 from snarkppm.census import analyze, run_census, write_details
 from snarkppm.cli import main
 from snarkppm.minors import KMinorUndecidedError
@@ -82,6 +83,22 @@ class TestCensus:
         assert not report.complete
         assert report.rows == []
         monkeypatch.delenv("SNARKPPM_TIMEOUT_MS")
+
+    def test_timeout_counts_the_snark_test(self, petersen_g6, monkeypatch):
+        # The clock starts before the line is parsed: a snark test slower
+        # than the whole budget leaves the graph undecided.
+        snark_test = census.is_snark
+
+        def slow(g):
+            time.sleep(0.3)
+            return snark_test(g)
+
+        monkeypatch.setattr(census, "is_snark", slow)
+        monkeypatch.setenv("SNARKPPM_TIMEOUT_MS", "200")
+        report = run_census(petersen_g6 + "\n", mode="both")
+        assert not report.complete
+        assert report.verdicts[0].is_snark
+        assert report.verdicts[0].undecided
 
     def test_undecided_k5_search_marks_undecided(
         self, petersen_g6, monkeypatch, tmp_path, capsys

@@ -22,7 +22,12 @@ from snarkppm import (
     petersen,
     planar,
 )
+from snarkppm import minors
 from snarkppm.minors import KMinorUndecidedError
+
+
+def _no_kernel(adj, embed):
+    raise AssertionError("left-right test called")
 
 
 class TestPlanarity:
@@ -235,6 +240,18 @@ class TestK5Minor:
     def test_budget_raises_undecided(self):
         with pytest.raises(KMinorUndecidedError):
             has_k5_minor(named.petersen_standard(), node_budget=3)
+
+    def test_dive_counts_against_the_budget(self, monkeypatch):
+        # A perfect-matching quotient of B26^1 (13 vertices) that the dive
+        # settles at its ninth node, by Mader's bound, with no left-right
+        # test: one node less raises instead of answering.
+        g = blanusa_snark(3, 1).graph
+        m = list(enumerate_ppms(g, perfect_matchings_only=True))[28]
+        q = contract(g, m).graph
+        monkeypatch.setattr(minors, "_lr_planarity", _no_kernel)
+        with pytest.raises(KMinorUndecidedError):
+            has_k5_minor(q, node_budget=8)
+        assert has_k5_minor(q, node_budget=9)
 
     def test_parallel_edges_ignored(self):
         g = Multigraph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])

@@ -34,7 +34,7 @@ from snarkppm import (
     validate_ppm,
     write_ppm,
 )
-from snarkppm import minors
+from snarkppm import minors, ppm
 
 C0 = [1, 2, 3, 4, 9, 7, 5, 8, 6]  # the designated 9-cycle in petersen() labels
 
@@ -285,9 +285,31 @@ class TestClassify:
                 assert by_class == by_search, m
                 neither += 1
                 tested += by_search > 0
-        # Most quotients reach the kernel at the search's root: Mader's
-        # bound alone settles the others without a test.
-        assert (neither, tested) == (178, 170)
+        # The dive settles almost every quotient by Mader's bound on a
+        # contraction, with no test; only the few it leaves open reach the
+        # kernel, in the exact search.
+        assert (neither, tested) == (178, 4)
+
+    def test_classifies_the_quotient_that_contract_builds(self, monkeypatch):
+        # classify_ppm builds the quotient without transitions; the graph
+        # it asks about is contract's, vertex for vertex and edge for edge.
+        asked = []
+        search = ppm.has_k5_minor
+
+        def recorded(q):
+            asked.append(q)
+            return search(q)
+
+        monkeypatch.setattr(ppm, "has_k5_minor", recorded)
+        count = 0
+        for inst in (petersen(), blanusa_snark(2, 1), blanusa_snark(2, 2)):
+            g = inst.graph
+            for m in enumerate_ppms(g):
+                classify_ppm(g, m)
+                q = contract(g, m).graph
+                assert (asked[-1].n, asked[-1].edges) == (q.n, q.edges)
+                count += 1
+        assert len(asked) == count == 26 + 422
 
 
 class TestDominatingComplement:
