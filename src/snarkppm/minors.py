@@ -17,10 +17,11 @@ Both verdicts start from the skeleton's neighbour bitmasks and one settle
 step (``_settle``): delete vertices of degree at most 1, suppress those of
 degree 2, then answer below 5 vertices and at Mader's bound m >= 3n - 5.
 The K5-minor search first dives: it settles, contracts the edge whose ends
-share the fewest neighbours, and repeats, with no planarity test. Mader's
-bound met on the way proves a K5 minor; that settles nearly every PPM
-quotient of a snark with one. Only a dive that ends below 5 vertices
-leaves the question open, and the exact search then runs from the root:
+share the fewest neighbours (the least (u, v) on ties, found in one pass
+with no sort), and repeats, with no planarity test. Mader's bound met on
+the way proves a K5 minor; that settles nearly every PPM quotient of a
+snark with one. Only a dive that ends below 5 vertices leaves the
+question open, and the exact search then runs from the root:
 it answers planar graphs (the verdict per component), splits at cut
 vertices, and otherwise branches on edge contractions, remembering the
 reduced graphs already refuted. Dive steps and search nodes share one
@@ -352,9 +353,10 @@ def has_k5_minor(g: Multigraph, node_budget: int = DEFAULT_K5_BUDGET) -> bool:
     of contractions yields K5 as a subgraph. First a dive follows the
     search's first contraction from the root: settle the node by
     ``_settle`` (reduce, then fewer than 5 vertices or Mader's bound) and
-    contract its first edge by ``_edges_by_overlap``, with no planarity
-    test. Mader's bound on the way answers True. A dive that ends below 5
-    vertices proves nothing, and the exact search runs from the root.
+    contract its first edge by ``_edges_by_overlap``, which
+    ``_least_overlap`` finds in one pass, with no planarity test. Mader's
+    bound on the way answers True. A dive that ends below 5 vertices
+    proves nothing, and the exact search runs from the root.
     Each search node is settled by ``_settle`` where it can, then by the
     memo of reduced graphs already refuted, then by planarity. A nonplanar
     graph with cut vertices is split into its blocks, since K5 is
@@ -381,7 +383,7 @@ def has_k5_minor(g: Multigraph, node_budget: int = DEFAULT_K5_BUDGET) -> bool:
         found = _settle(node)
         if found is not None:
             break
-        node = _contract(node, *_edges_by_overlap(node)[0])
+        node = _contract(node, *_least_overlap(node))
     if found:
         return True
 
@@ -463,7 +465,7 @@ def _settle(adj: dict[int, int]) -> bool | None:
     n = len(adj)
     if n < 5:
         return False
-    if sum(a.bit_count() for a in adj.values()) >= 2 * (3 * n - 5):
+    if sum(map(int.bit_count, adj.values())) >= 2 * (3 * n - 5):
         return True
     return None
 
@@ -542,6 +544,28 @@ def _edges_by_overlap(adj: dict[int, int]) -> list[tuple[int, int]]:
     ]
     edges.sort(key=lambda e: ((adj[e[0]] & adj[e[1]]).bit_count(), e))
     return edges
+
+
+def _least_overlap(adj: dict[int, int]) -> tuple[int, int]:
+    """``_edges_by_overlap(adj)[0]`` in one pass: an edge whose ends share
+    the fewest neighbours, the least (u, v) among those. adj is in
+    ascending vertex order, so the first edge met with a smaller count is
+    the least of its count, and one with none shared ends the pass."""
+    best = None
+    fewest = len(adj)
+    for u, a in adj.items():
+        rest = a >> (u + 1) << (u + 1)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            shared = (a & adj[v]).bit_count()
+            if shared < fewest:
+                best = u, v
+                if not shared:
+                    return best
+                fewest = shared
+    return best
 
 
 def _contract(adj: dict[int, int], u: int, v: int) -> dict[int, int]:

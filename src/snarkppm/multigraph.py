@@ -24,7 +24,7 @@ class Multigraph:
     ``0..n-1``.
     """
 
-    __slots__ = ("n", "edges", "_incident", "_adj_mask")
+    __slots__ = ("n", "edges", "_incident", "_adj_mask", "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -35,21 +35,19 @@ class Multigraph:
         self.edges: tuple[tuple[int, int], ...] = tuple(
             (int(a), int(b)) for a, b in edges
         )
+        incident: list[list[int]] = [[] for _ in range(n)]
+        mask = [0] * n
         for i, (a, b) in enumerate(self.edges):
             if not (0 <= a < n and 0 <= b < n):
                 raise GraphError(f"edge {i} = ({a},{b}) has endpoint outside 0..{n - 1}")
-        incident: list[list[int]] = [[] for _ in range(n)]
-        for i, (a, b) in enumerate(self.edges):
             incident[a].append(i)
             if b != a:
                 incident[b].append(i)
-        self._incident: tuple[tuple[int, ...], ...] = tuple(tuple(x) for x in incident)
-        mask = [0] * n
-        for a, b in self.edges:
-            if a != b:
                 mask[a] |= 1 << b
                 mask[b] |= 1 << a
+        self._incident: tuple[tuple[int, ...], ...] = tuple(map(tuple, incident))
         self._adj_mask: tuple[int, ...] = tuple(mask)
+        self._connected: bool | None = None  # set by the first is_connected()
 
     # -- basic accessors ---------------------------------------------------
 
@@ -118,19 +116,19 @@ class Multigraph:
         return True
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = 1
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for i in self._incident[v]:
-                w = self.other_end(i, v)
-                bit = 1 << w
-                if not seen & bit:
-                    seen |= bit
-                    frontier.append(w)
-        return seen == (1 << self.n) - 1
+        """Flooded once per graph; the graph is immutable, so the answer is
+        kept."""
+        if self._connected is None:
+            adj = self._adj_mask
+            seen = frontier = 1 if self.n else 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                fresh = adj[low.bit_length() - 1] & ~seen
+                seen |= fresh
+                frontier |= fresh
+            self._connected = seen == (1 << self.n) - 1
+        return self._connected
 
     def connected_components(self) -> list[list[int]]:
         comp = [-1] * self.n
@@ -250,32 +248,37 @@ def girth(g: Multigraph) -> int:
     """Length of a shortest cycle (a loop is 1, parallel edges 2); n + 1 if
     there is none.
 
-    A breadth-first search from each vertex; the search from s stops at the
-    depth d with 2d + 1 >= best, since an edge met from depth d or deeper
-    closes a walk through s of length at least 2d + 1.
+    On a simple graph, a breadth-first search from each vertex s, one layer
+    of neighbour bitmasks at a time. An edge inside layer d closes a cycle
+    of length at most 2d + 1, and a vertex of layer d + 1 reached from two
+    vertices of layer d one of length at most 2d + 2; a shortest cycle is
+    found exactly from each of its vertices. The search from s stops at the
+    first layer d with 2d + 1 >= best.
     """
+    if any(a == b for a, b in g.edges):
+        return 1
+    if not g.is_simple():
+        return 2
+    adj = [g.adjacency_mask(v) for v in range(g.n)]
     best = g.n + 1
     for s in range(g.n):
-        dist = {s: 0}
-        parent_edge = {s: -1}
-        frontier = [s]
+        seen = layer = 1 << s
         depth = 0
-        while frontier and 2 * depth + 1 < best:
-            nxt = []
-            for v in frontier:
-                for e in g.incident_edges(v):
-                    w = g.other_end(e, v)
-                    if w == v:
-                        return 1
-                    if e == parent_edge[v]:
-                        continue
-                    if w in dist:
-                        best = min(best, dist[v] + dist[w] + 1)
-                    else:
-                        dist[w] = depth + 1
-                        parent_edge[w] = e
-                        nxt.append(w)
-            frontier = nxt
+        while layer and 2 * depth + 1 < best:
+            nxt = 0
+            rest = layer
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                nbrs = adj[low.bit_length() - 1]
+                if nbrs & layer:
+                    best = 2 * depth + 1
+                fresh = nbrs & ~seen
+                if fresh & nxt and 2 * depth + 2 < best:
+                    best = 2 * depth + 2
+                nxt |= fresh
+            seen |= nxt
+            layer = nxt
             depth += 1
     return best
 

@@ -138,64 +138,66 @@ def enumerate_ppms(
 ) -> Iterator[PseudoMatching]:
     """All PPMs of g, each exactly once, in a deterministic order.
 
-    Branches on the lowest uncovered vertex: cover it by each incident K2,
-    by the claw centered there, or by a claw centered at a neighbour.
+    Branches on the lowest uncovered vertex: cover it by each incident K2
+    (by edge index), by the claw centered there, or by a claw centered at
+    a neighbour (by vertex). The uncovered vertices are a bitmask. After a
+    component is placed, a branch in which a neighbour of its vertices is
+    left with no uncovered neighbour is dropped: no K2 and no claw can
+    cover that vertex any more (forward checking), so the branch yields
+    nothing and the order of the rest is unchanged.
     """
     mg = g.graph
-    n = mg.n
-    if n == 0:
-        yield PseudoMatching(())
-        return
-    covered = [False] * n
+    adj = [mg.adjacency_mask(v) for v in range(mg.n)]
+
+    def option(comp: Component, verts: list[int]) -> tuple[Component, int, int]:
+        # The component, the mask of its vertices, and of their neighbours.
+        mask = around = 0
+        for x in verts:
+            mask |= 1 << x
+            around |= adj[x]
+        return comp, mask, around & ~mask
+
+    claws: list[tuple[Component, int, int] | None] = []
+    for u in range(mg.n):
+        inc = sorted(mg.incident_edges(u))
+        leaves = [mg.other_end(e, u) for e in inc]
+        if len(inc) == 3 and u not in leaves and len(set(leaves)) == 3:
+            claws.append(option(ClawComponent(u, tuple(inc)), [u, *leaves]))
+        else:
+            claws.append(None)
+    choices = []
+    for v in range(mg.n):
+        row = [
+            option(K2Component(e), [v, w])
+            for e in sorted(mg.incident_edges(v))
+            if (w := mg.other_end(e, v)) != v
+        ]
+        if not perfect_matchings_only:
+            row += [claws[u] for u in (v, *mg.neighbors(v)) if claws[u] is not None]
+        choices.append(row)
     parts: list[Component] = []
 
-    def claw_at(center: int) -> ClawComponent | None:
-        inc = sorted(mg.incident_edges(center))
-        leaves = []
-        for e in inc:
-            leaf = mg.other_end(e, center)
-            if leaf == center or covered[leaf]:
-                return None
-            leaves.append(leaf)
-        if len(set(leaves)) != 3 or len(inc) != 3:
-            return None
-        return ClawComponent(center, tuple(inc))
-
-    def rec(start: int) -> Iterator[PseudoMatching]:
-        v = start
-        while v < n and covered[v]:
-            v += 1
-        if v == n:
+    def rec(free: int) -> Iterator[PseudoMatching]:
+        if not free:
             yield PseudoMatching(tuple(parts))
             return
-        # K2 on each incident edge.
-        for e in sorted(mg.incident_edges(v)):
-            w = mg.other_end(e, v)
-            if w == v or covered[w]:
+        for comp, mask, around in choices[(free & -free).bit_length() - 1]:
+            if mask & free != mask:
                 continue
-            covered[v] = covered[w] = True
-            parts.append(K2Component(e))
-            yield from rec(v + 1)
-            parts.pop()
-            covered[v] = covered[w] = False
-        if perfect_matchings_only:
-            return
-        # The claw centered at v, then at each uncovered neighbour of v.
-        for u in (v, *sorted(mg.neighbors(v))):
-            claw = None if covered[u] else claw_at(u)
-            if claw is None:
-                continue
-            touched = [u] + [mg.other_end(e, u) for e in claw.leaf_edges]
-            for x in touched:
-                covered[x] = True
-            parts.append(claw)
-            yield from rec(v + 1)
-            parts.pop()
-            for x in touched:
-                covered[x] = False
+            rest = free ^ mask
+            check = around & rest
+            while check:
+                low = check & -check
+                if not adj[low.bit_length() - 1] & rest:
+                    break  # a stranded vertex
+                check ^= low
+            else:
+                parts.append(comp)
+                yield from rec(rest)
+                parts.pop()
 
     try:
-        yield from rec(0)
+        yield from rec((1 << mg.n) - 1)
     finally:
         del rec  # the closure refers to itself: free it without the GC
 
@@ -288,20 +290,22 @@ def quotient(
     in_m = m.edge_set(mg)
     q_edges = []
     edge_origin = []
+    degree = [0] * len(comp_verts)
     for e, (a, b) in enumerate(mg.edges):
         if e in in_m:
             continue
         qa, qb = component_of[a], component_of[b]
-        # qa == qb gives a quotient loop; it happens whenever a complement
-        # edge joins two vertices of one component (e.g. two claw leaves).
+        # qa == qb gives a quotient loop, which counts 2; it happens whenever
+        # a complement edge joins two vertices of one component (e.g. two
+        # claw leaves).
         q_edges.append((qa, qb))
         edge_origin.append(e)
-    q = Multigraph(len(comp_verts), q_edges)
-    for v in range(q.n):
-        deg = q.degree(v)
+        degree[qa] += 1
+        degree[qb] += 1
+    for v, deg in enumerate(degree):
         if deg not in (4, 6):
             raise GraphError(f"quotient vertex {v} has degree {deg}")
-    return q, tuple(component_of), tuple(edge_origin)
+    return Multigraph(len(comp_verts), q_edges), tuple(component_of), tuple(edge_origin)
 
 
 def contract(g: CubicGraph, m: PseudoMatching) -> ContractedGraph:

@@ -18,6 +18,7 @@ from snarkppm import (
     are_isomorphic,
     blanusa_snark,
     canonical_form,
+    flower_graph,
     flower_snark,
     goldberg_snark,
     parse_edge_list,
@@ -55,6 +56,31 @@ class TestMultigraph:
         with pytest.raises(GraphError):
             CubicGraph(theta, require_simple=True)
 
+    def test_is_connected_agrees_with_a_fresh_flood(self, connected_graphs_le8):
+        # The answer is kept per graph: derived copies answer for
+        # themselves, and asking twice gives the same answer.
+        rng = random.Random(2037)
+        graphs = [g for n in range(1, 9) for g in connected_graphs_le8[n]]
+        graphs += [Multigraph(0, []), Multigraph(3, [(0, 0), (1, 2)])]
+        for _ in range(100):
+            a = _configuration_cubic(rng, rng.randrange(2, 12, 2))
+            b = _configuration_cubic(rng, rng.randrange(2, 12, 2))
+            shifted = [(x + a.n, y + a.n) for x, y in b.edges]
+            graphs.append(Multigraph(a.n + b.n, list(a.edges) + shifted))
+        graphs += [g.without_edges(rng.sample(range(g.m), g.m // 2)) for g in graphs if g.m]
+        graphs += [_relabel(g, rng) for g in graphs]
+        verdicts = {True: 0, False: 0}
+        for g in graphs:
+            expect = len(g.connected_components()) <= 1
+            assert g.is_connected() == expect, g.edges
+            assert g.is_connected() == expect
+            verdicts[expect] += 1
+        assert min(verdicts.values()) > 1000, verdicts
+        g = named.petersen_standard()
+        assert g.is_connected()
+        assert not g.without_edges([e for e in range(g.m) if 0 in g.edges[e]]).is_connected()
+        assert g.relabeled(list(range(g.n))[::-1]).is_connected()
+
     def test_edge_list_round_trip(self):
         g = Multigraph(4, [(0, 1), (1, 1), (2, 3), (2, 3)])
         h = parse_edge_list(write_edge_list(g))
@@ -76,6 +102,27 @@ class TestMultigraph:
         for g in graphs:
             cycles = oracles.brute_all_cycles(g)
             assert girth(g) == min((len(c) for c in cycles), default=g.n + 1), g.edges
+        # Past brute force, against networkx: family members up to the
+        # vertex cap, and larger random cubic multigraphs with every edge
+        # subdivided twice, which makes a loop a triangle and two parallel
+        # edges a hexagon and triples every cycle length.
+        nx = pytest.importorskip("networkx")
+        family = [flower_snark(k).graph.graph for k in range(5, 32, 2)]
+        family += [goldberg_snark(k).graph.graph for k in range(5, 16, 2)]
+        family += [blanusa_snark(n, j).graph.graph for n in (1, 2, 3, 8, 15) for j in (1, 2)]
+        family += [flower_graph(k) for k in (6, 8, 30)]
+        for g in family:
+            assert girth(g) == nx.girth(nx.Graph(g.edges)), g
+        seen = set()
+        for n in (12, 20, 40, 64, 128):
+            for _ in range(10):
+                g = _configuration_cubic(rng, n)
+                h = nx.Graph()
+                for i, (a, b) in enumerate(g.edges):
+                    nx.add_path(h, [a, (i, 1), (i, 2), b])
+                seen.add(girth(g))
+                assert 3 * girth(g) == nx.girth(h), g.edges
+        assert {1, 2} < seen
 
 
 class TestGraph6:

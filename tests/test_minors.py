@@ -21,6 +21,7 @@ from snarkppm import (
     is_planar,
     petersen,
     planar,
+    quotient,
 )
 from snarkppm import minors
 from snarkppm.minors import KMinorUndecidedError
@@ -252,6 +253,22 @@ class TestK5Minor:
         with pytest.raises(KMinorUndecidedError):
             has_k5_minor(q, node_budget=8)
         assert has_k5_minor(q, node_budget=9)
+
+    def test_dive_edge_is_the_first_by_overlap(self):
+        # At every dive node of the PPM quotients of Petersen, B18^1 and
+        # B18^2, the one-pass edge is the head of the full sorted list, so
+        # the dive contracts the same edges as it would by sorting.
+        nodes = 0
+        for inst in (petersen(), blanusa_snark(2, 1), blanusa_snark(2, 2)):
+            g = inst.graph
+            for m in enumerate_ppms(g):
+                node = minors._skeleton(quotient(g, m)[0])
+                while minors._settle(node) is None:
+                    edge = minors._least_overlap(node)
+                    assert edge == minors._edges_by_overlap(node)[0], node
+                    node = minors._contract(node, *edge)
+                    nodes += 1
+        assert nodes == 1121  # over 448 quotients
 
     def test_parallel_edges_ignored(self):
         g = Multigraph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])

@@ -35,6 +35,7 @@ from snarkppm import (
     write_ppm,
 )
 from snarkppm import minors, ppm
+from snarkppm.families import flower_claw_ppm, flower_graph
 
 C0 = [1, 2, 3, 4, 9, 7, 5, 8, 6]  # the designated 9-cycle in petersen() labels
 
@@ -140,6 +141,39 @@ class TestEnumerate:
         assert count == 6248
         assert digest.hexdigest() == (
             "d98bfa83870f9e149901e8c95c36c3088008f9e27a81adfcb2aeacbcbded857f"
+        )
+
+    def test_order_is_pinned_on_family_members(self, bench_relabel):
+        # The census's own inputs: two seeded relabelings each of five
+        # snarks and of the colourable flowers J6 and J8 (up to 32
+        # vertices), whose PPM searches branch far deeper than the corpus's.
+        rng = random.Random(1717)
+        sources = [
+            (inst.graph, inst.designated_ppm)
+            for inst in (
+                petersen(),
+                blanusa_snark(2, 1),
+                blanusa_snark(2, 2),
+                flower_snark(5),
+                flower_snark(7),
+            )
+        ]
+        sources += [
+            (CubicGraph(flower_graph(k)), flower_claw_ppm(flower_graph(k), k))
+            for k in (6, 8)
+        ]
+        graphs = [bench_relabel(g, m, rng)[0] for g, m in sources for _ in range(2)]
+        digest = hashlib.sha256()
+        count = 0
+        for g in graphs:
+            for pm_only in (False, True):
+                for m in enumerate_ppms(g, perfect_matchings_only=pm_only):
+                    digest.update(repr(m.components).encode())
+                    count += 1
+                digest.update(b";")
+        assert count == 28336
+        assert digest.hexdigest() == (
+            "cfb9eb5000ca7d327c2aade26f3417cf66246b4499dba91149a2a76c8a7f03b7"
         )
 
 
