@@ -254,10 +254,7 @@ def analyze(g: CubicGraph, m: PseudoMatching | None = None) -> str:
     check_snark_input(g)
     # Cuts come out in nondecreasing size, so the first one sets the level.
     cut = next(cyclic_cuts_up_to(g.graph, 5), None)
-    if cut is None:
-        level = 6
-    else:
-        level = len(cut) if len(cut) >= 4 else 0
+    level = 6 if cut is None else len(cut)
     colored = find_3_edge_coloring(g)
     out.append(f"snark: {'yes' if level >= 4 and colored is None else 'no'}")
     out.append(f"cyclically {level}-edge-connected (checked up to 6)")

@@ -10,25 +10,33 @@ even number of edges. These cycles span the cycle space, whose orthogonal
 complement is the cut space, so XOR 0 means S = delta(X) for a vertex set X.
 With full-width labels no non-cut passes as a candidate.
 
-Join: meet in the middle, ordered. A c-set splits into its floor(c/2) least
-edges and the rest. The second halves are taken by their least edge i, in
-ascending order, and each one's XOR is looked up in a dict of first halves
-keyed by XOR. A first half enters the dict just before the first i above
-its last edge, so every hit is a c-set with XOR 0, found once; a set is
-built only on a hit. The lists of halves are built once for all sizes.
+Join: meet in the middle, ordered (Horowitz & Sahni, JACM 1974). A c-set
+splits into its floor(c/2) least edges, the first half, then a pivot edge i
+and a tail of later edges. At each pivot the smaller group, first halves
+before i or tails after it, is probed against a dict of the other, keyed by
+XOR. The first halves are the fewer at the low pivots: these are taken in
+descending order, with a dict of tails that grows as i falls; the others
+in ascending order, with a dict of first halves that grows as i rises. So
+every hit is a c-set with XOR 0, found once; a set is built only on a hit.
+The lists of halves are built once for all sizes.
 
 If K is a cyclic component of G - S, then delta(V(K)) lies in S and is itself
 a cyclic cut, so every cyclic cut is a zero-XOR cyclic cut plus zero or more
-edges. Candidates of both kinds are checked with ``_is_cyclic_cut``.
+edges: a grown cut.
 
 Component count from the rank: the zero-XOR subsets of S are the cuts
 delta(X) for X a union of components of G - S, 2^(c-1) of them for c
-components, so c = |S| - rank(labels of S) + 1. With c known, a class of cut
-ends (joined by non-cut edges) with no non-cut edge to any other vertex is a
-whole component, counted on the spot; the other components are flooded one
-at a time until one is left, and its vertex and edge counts follow by
-subtraction. So the trivial cuts, around a vertex, an edge or a path of two
-edges, are decided without a flood over the rest of the graph.
+components, so c = |S| - rank(labels of S) + 1. A zero-XOR S that leaves
+two components A and B is the bond delta(A): each edge of S has one end on
+each side. ``_is_cyclic_bond`` floods the two sides in turns from the ends
+of one edge of S until one side is used up, so the trivial cuts, around a
+vertex, an edge or a path of two edges, cost a few steps; the other side's
+vertex and edge counts follow by subtraction. A grown S can also leave two
+components with one of its edges inside a side, so it goes through
+``_is_cyclic_cut``: there a class of cut ends (joined by non-cut edges)
+with no non-cut edge to any other vertex is a whole component, counted on
+the spot, and the other components are flooded one at a time until one is
+left, whose counts again follow by subtraction.
 
 Graphs with no two vertex-disjoint cycles (e.g. K4, or the empty graph) have
 no cyclic cut, so ``cyclic_edge_connectivity_at_least`` reports True for
@@ -77,7 +85,7 @@ def _cyclic_cuts(
         }
         for cut in _zero_xor_sets(labels, size, heads, tails):
             grown.discard(cut)
-            if _is_cyclic_cut(g, labels, cut):
+            if _is_cyclic_bond(g, labels, cut):
                 space_cuts.append(cut)
                 yield cut
         yield from (cut for cut in grown if _is_cyclic_cut(g, labels, cut))
@@ -115,61 +123,73 @@ def _zero_xor_sets(
     """Every edge set of the given size whose labels XOR to 0, each once.
 
     The set splits into a first half, its size // 2 least edges, and a
-    second half: an edge i and a tail of later edges. For i ascending, the
-    first halves that end before i enter the dict, so every hit is a valid
-    set. XORs are carried from prefix to combination (``_xor_combos``), and
-    a set is built only on a hit. ``heads`` and ``tails`` hold the
-    combination lists of the edges and of the reversed edges, shared by all
-    sizes. The dict is built again for each size: a full one from an
-    earlier size would also hit on first halves that overlap the tail."""
+    second half: a pivot edge i and a tail of later edges. At pivot i there
+    are comb(i, low) first halves and comb(last - i, rest) tails; the
+    smaller group is probed against a dict of the other. The first halves
+    are the fewer below some pivot ``turn``: those pivots are taken in
+    descending order, and the tails that start after i enter the dict; the
+    others in ascending order, and the first halves that end before i
+    enter it. Either way every hit is a valid set. XORs are carried from
+    prefix to combination (``_xor_combos``), and a set is built only on a
+    hit. ``heads`` and ``tails`` hold the combination lists of the edges in
+    ascending and in descending order, shared by all sizes."""
     low, rest = size // 2, size - size // 2 - 1
     last = len(labels) - 1
-    firsts = _xor_combos(heads, labels, low)
-    # Tails over the reversed edge list: edge last - e for each entry e, so
-    # the tails that start after i are the first comb(last - i, rest).
-    ends = _xor_combos(tails, labels[::-1], rest)
-    halves: dict[int, list[tuple[int, ...]]] = {}
-    added = 0
-    for i, label in enumerate(labels):
-        for x, first in firsts[added : comb(i, low)]:
-            halves.setdefault(x, []).append(first)
-        added = comb(i, low)
-        for x, tail in ends[: comb(last - i, rest)]:
-            if x ^ label in halves:
-                for first in halves[x ^ label]:
-                    yield frozenset((*first, i, *(last - e for e in tail)))
+    firsts = _xor_combos(heads, labels, range(last + 1), low)
+    ends = _xor_combos(tails, labels, range(last, -1, -1), rest)
+
+    def before(i: int) -> int:  # first halves inside range(i)
+        return comb(i, low)
+
+    def after(i: int) -> int:  # tails inside range(i + 1, last + 1)
+        return comb(last - i, rest)
+
+    turn = 0
+    while turn <= last and before(turn) < after(turn):
+        turn += 1
+    for pivots, stored, stored_at, probed, probed_at in (
+        (range(turn - 1, -1, -1), ends, after, firsts, before),
+        (range(turn, last + 1), firsts, before, ends, after),
+    ):
+        halves: dict[int, list[tuple[int, ...]]] = {}
+        added = 0
+        for i in pivots:
+            for x, half in stored[added : stored_at(i)]:
+                halves.setdefault(x, []).append(half)
+            added = stored_at(i)
+            label = labels[i]
+            for x, half in probed[: probed_at(i)]:
+                if x ^ label in halves:
+                    for other in halves[x ^ label]:
+                        yield frozenset((*half, i, *other))
 
 
 def _xor_combos(
-    lists: list[list[tuple[int, tuple[int, ...]]]], labels: list[int], r: int
+    lists: list[list[tuple[int, tuple[int, ...]]]],
+    labels: list[int],
+    order: range,
+    r: int,
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """(XOR of labels, edge ids) of every r-set of edges, in colex order (by
-    last edge, then by the rest), so the sets inside range(j) come first,
-    comb(j, r) of them. ``lists`` caches them by r, from [[(0, ())]] on;
-    each XOR is carried from the set's prefix."""
+    """(XOR of labels, edge ids) of every r-set of the edges in ``order``,
+    in colex order by place in it (by last edge, then by the rest), so the
+    sets of its first j edges come first, comb(j, r) of them. ``lists``
+    caches them by r, from [[(0, ())]] on; each XOR is carried from the
+    set's prefix."""
     while len(lists) <= r:
         k = len(lists) - 1
         lists.append(
             [
-                (x ^ label, (*c, e))
-                for e, label in enumerate(labels)
-                for x, c in lists[k][: comb(e, k)]
+                (x ^ labels[e], (*c, e))
+                for j, e in enumerate(order)
+                for x, c in lists[k][: comb(j, k)]
             ]
         )
     return lists[r]
 
 
-def _is_cyclic_cut(g: Multigraph, labels: list[int], cut: frozenset[int]) -> bool:
-    """Removal must leave >= 2 components that each contain a cycle.
-
-    A component has a cycle iff it keeps at least as many edges as
-    vertices. G - cut has len(cut) - rank + 1 components, the rank being
-    that of the cut's labels. A class of cut ends, joined by the non-cut
-    edges among them, that has no non-cut edge to any other vertex is a
-    whole component, counted on the spot. The components at the other cut
-    ends are flooded one by one while more than one is left; the last one's
-    counts follow by subtraction.
-    """
+def _components(labels: list[int], cut: frozenset[int]) -> int:
+    """The number of components of G - cut: len(cut) - rank + 1, the rank
+    being that of the cut's labels."""
     basis: list[int] = []
     for e in cut:
         x = labels[e]
@@ -178,7 +198,20 @@ def _is_cyclic_cut(g: Multigraph, labels: list[int], cut: frozenset[int]) -> boo
                 x ^= b
         if x:
             basis.append(x)
-    left = len(cut) - len(basis) + 1  # components not counted yet
+    return len(cut) - len(basis) + 1
+
+
+def _is_cyclic_cut(g: Multigraph, labels: list[int], cut: frozenset[int]) -> bool:
+    """Removal must leave >= 2 components that each contain a cycle.
+
+    A component has a cycle iff it keeps at least as many edges as
+    vertices. A class of cut ends, joined by the non-cut edges among them,
+    that has no non-cut edge to any other vertex is a whole component,
+    counted on the spot. The components at the other cut ends are flooded
+    one by one while more than one is left; the last one's counts follow
+    by subtraction.
+    """
+    left = _components(labels, cut)  # components not counted yet
     if left < 2:
         return False
     vertices, kept = g.n, g.m - len(cut)  # in the components not counted yet
@@ -209,6 +242,44 @@ def _is_cyclic_cut(g: Multigraph, labels: list[int], cut: frozenset[int]) -> boo
     if left == 1:
         cyclic += kept >= vertices
     return cyclic >= 2
+
+
+def _is_cyclic_bond(g: Multigraph, labels: list[int], cut: frozenset[int]) -> bool:
+    """``_is_cyclic_cut`` for a cut whose labels XOR to 0, as the join finds.
+
+    Such a cut is delta(X). If G - cut has two components A and B, it is
+    delta(A), so each cut edge has one end in A and one in B. The two sides
+    are flooded in turns from the ends of one cut edge until one of them is
+    used up; its vertex and edge counts say whether it has a cycle, and the
+    other side's follow by subtraction. A grown cut may also leave two
+    components but have an edge inside one side, so it never comes here.
+    """
+    if _components(labels, cut) != 2:
+        return _is_cyclic_cut(g, labels, cut)
+    edges, incident = g.edges, g.incident_edges
+    ends = edges[next(iter(cut))]
+    seen = set(ends)
+    stacks = ([ends[0]], [ends[1]])
+    sizes, degrees = [0, 0], [0, 0]
+    side = 0
+    while stack := stacks[side]:
+        v = stack.pop()
+        sizes[side] += 1
+        for e in incident(v):
+            if e in cut:
+                continue
+            a, b = edges[e]
+            if a == b:
+                degrees[side] += 2
+                continue
+            degrees[side] += 1
+            w = b if a == v else a
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+        side ^= 1
+    size, kept = sizes[side], degrees[side] // 2
+    return kept >= size and g.m - len(cut) - kept >= g.n - size
 
 
 def _flood(

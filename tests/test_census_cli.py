@@ -161,7 +161,7 @@ class TestAnalyze:
         g5 = goldberg_snark(5).graph
         assert len(list(cyclic_cuts_up_to(g5.graph, 5))) == 16
         for g, level in [
-            (CubicGraph(named.prism()), 0),
+            (CubicGraph(named.prism()), 3),
             (CubicGraph(named.cube()), 4),
             (petersen().graph, 5),
             (g5, 5),

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -24,7 +26,13 @@ from snarkppm import (
     petersen,
     star_construction,
 )
-from snarkppm.connectivity import _cycle_labels, _is_cyclic_cut
+from snarkppm.connectivity import (
+    _components,
+    _cycle_labels,
+    _is_cyclic_bond,
+    _is_cyclic_cut,
+    _zero_xor_sets,
+)
 from snarkppm.families import FamilyInstance, flower_claw_ppm
 
 
@@ -249,6 +257,57 @@ class TestCyclicConnectivity:
             verdicts,
         )
 
+    def test_bond_path_matches_oracle_on_every_zero_xor_set(self):
+        # The join's own path on configuration-model multigraphs (loops,
+        # parallel edges; cubic, or degrees 2-4, where a side used up first
+        # can be cyclic and the other not): every zero-XOR set of size 1-6,
+        # each found once, goes through _is_cyclic_bond. The grown
+        # candidates made from the cyclic ones, with an extra edge inside a
+        # side and still two components, go through _is_cyclic_cut.
+        rng = random.Random(1814)
+        bonds = {True: 0, False: 0}
+        grown = {True: 0, False: 0}
+        first_edge_inside = 0
+        for trial in range(80):
+            n = rng.choice((2, 4, 6, 8, 10))
+            degrees = [3 if trial % 2 else rng.choice((2, 3, 4)) for _ in range(n)]
+            degrees[0] += sum(degrees) % 2
+            stubs = [v for v in range(n) for _ in range(degrees[v])]
+            rng.shuffle(stubs)
+            g = Multigraph(n, zip(stubs[::2], stubs[1::2]))
+            if not g.is_connected():
+                continue
+            labels = _cycle_labels(g)
+            heads, tails = [[(0, ())]], [[(0, ())]]
+            for size in range(1, 7):
+                found = list(_zero_xor_sets(labels, size, heads, tails))
+                assert len(found) == len(set(found))
+                assert set(found) == {
+                    frozenset(c)
+                    for c in combinations(range(g.m), size)
+                    if not _xor(labels, c)
+                }, g.edges
+                for cut in found:
+                    expect = oracles.leaves_two_cyclic_components(g, set(cut))
+                    assert _is_cyclic_bond(g, labels, cut) == expect, (g.edges, cut)
+                    if _components(labels, cut) == 2:
+                        bonds[expect] += 1
+                    if not expect:
+                        continue
+                    for extra in range(g.m):
+                        more = cut | {extra}
+                        if extra in cut or len(more) > 6 or _components(labels, more) != 2:
+                            continue
+                        expect = oracles.leaves_two_cyclic_components(g, set(more))
+                        assert _is_cyclic_cut(g, labels, more) == expect, (g.edges, more)
+                        grown[expect] += 1
+                        first_edge_inside += next(iter(more)) == extra
+        assert min(*bonds.values(), *grown.values(), first_edge_inside) > 200, (
+            bonds,
+            grown,
+            first_edge_inside,
+        )
+
     @pytest.mark.parametrize(
         "make, counts",
         [
@@ -276,6 +335,58 @@ class TestCyclicConnectivity:
                 for cut in cuts:
                     assert oracles.leaves_two_cyclic_components(g, set(cut))
 
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (petersen, "6788803f129242018d04e48ecf1520b2bb7ee9d213d0175f1b4fd389b3a37abe"),
+            (
+                lambda: blanusa_snark(2, 1),
+                "8673a2d4f518e78504d2bd79ba6e9a4b582e42eafdb83260cd75358b4fa64edc",
+            ),
+            (
+                lambda: blanusa_snark(2, 2),
+                "ed44b393c2cda2fa24edab94736692c69f33c59b96a66c0e154788c51f5b5041",
+            ),
+            (
+                lambda: flower_snark(5),
+                "0d29b8fc5531784b2988d9cc54f7a463459a14976ab2d9fd3a0963033d8dd9cc",
+            ),
+            # J6 and J7 have no cyclic cut of size <= 5: the same digest.
+            (
+                lambda: _colorable_flower(6),
+                "efeb9bde9830f3dfccaa387c71ad51e406dc4424c94169cb7a20ff7ad5fb1388",
+            ),
+            (
+                lambda: flower_snark(7),
+                "efeb9bde9830f3dfccaa387c71ad51e406dc4424c94169cb7a20ff7ad5fb1388",
+            ),
+            (
+                lambda: goldberg_snark(5),
+                "d36eae574b1a4c19b79bca439273b0d0dd372eaad077577d505ec4166052749b",
+            ),
+            (
+                lambda: blanusa_snark(3, 1),
+                "4aefbd56974d97345933625fcd956f26209586a3d8aaba5cad41d9e062d3f899",
+            ),
+        ],
+        ids=["petersen", "b18_1", "b18_2", "j5", "j6", "j7", "g5", "b26_1"],
+    )
+    def test_cut_sets_pinned_under_relabeling(self, make, digest, bench_relabel):
+        # The cut sets themselves, not only their counts: SHA-256 over the
+        # sorted cyclic cuts of each size 3, 4 and 5 of the member and of 20
+        # seeded relabelings of it.
+        inst = make()
+        rng = random.Random(1813)
+        graphs = [inst.graph.graph]
+        graphs += [bench_relabel(inst.graph, inst.designated_ppm, rng)[0].graph for _ in range(20)]
+        h = hashlib.sha256()
+        for g in graphs:
+            cuts = list(cyclic_cuts_up_to(g, 5))
+            assert min(map(len, cuts), default=3) >= 3
+            for k in (3, 4, 5):
+                h.update(repr(sorted(sorted(c) for c in cuts if len(c) == k)).encode())
+        assert h.hexdigest() == digest
+
     def test_empty_graph_has_no_cyclic_cut(self):
         # No cycles at all, like the graphs without two disjoint cycles.
         for k in range(1, 7):
@@ -295,3 +406,10 @@ def _colorable_flower(k: int) -> FamilyInstance:
     return FamilyInstance(
         CubicGraph(g, require_simple=True), flower_claw_ppm(g, k), f"flower(k={k})"
     )
+
+
+def _xor(labels: list[int], edges) -> int:
+    x = 0
+    for e in edges:
+        x ^= labels[e]
+    return x
