@@ -36,7 +36,8 @@ class CensusTimeout(Exception):
 
 
 class CensusConfigError(ValueError):
-    """A census setting read from the environment is malformed."""
+    """A census setting is malformed: the budget read from the environment,
+    or the worker count."""
 
 
 @dataclass
@@ -175,12 +176,18 @@ def census_graph(
 
 
 def run_census(text: str, mode: str = "both", workers: int = 1) -> CensusReport:
+    """Census of the graph6 lines of text, on at most ``workers`` processes
+    and never more than one per graph; raises CensusConfigError if workers
+    is below 1."""
+    if workers < 1:
+        raise CensusConfigError(f"workers must be at least 1, got {workers}")
     timeout = _timeout_ms()
     jobs = [
         (i, ln, mode, timeout)
         for i, ln in enumerate(text.splitlines(), start=1)
         if ln.strip()
     ]
+    workers = min(workers, len(jobs))
     if workers > 1:
         from multiprocessing import Pool
 

@@ -9,6 +9,7 @@ from .census import CensusConfigError, analyze, run_census, write_details
 from .cycles import CycleSet, find_ccd, cdc_from_ccd
 from .constructions import star_construction
 from .graph6 import Graph6Error, parse_graph6, write_graph6
+from .minors import KMinorUndecidedError
 from .multigraph import CubicGraph, GraphError
 from .ppm import contract, parse_ppm, write_ppm
 from . import families
@@ -62,6 +63,9 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KMinorUndecidedError as exc:
+        print(f"undecided: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

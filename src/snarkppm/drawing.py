@@ -329,13 +329,15 @@ def draw_m_avoiding(g: CubicGraph, m: PseudoMatching) -> Drawing:
     The greedy (``_planar_subgraph``) keeps a rotation system of the kept
     edges and accepts an edge that joins two components, is a loop, or
     joins two vertices of one face; only the other edges take a planarity
-    test, and every rejection comes from that test. The kept set is
-    re-embedded by ``is_planar`` to seed the planarization, so a candidate
-    depends only on g, m and its order. Each rejected edge crosses at
-    least once when it is routed (else the kept set plus that edge would
-    be planar), so an order is dropped as soon as its rejections reach the
-    best crossing count so far: it cannot be strictly better. The search
-    stops at a drawing with no more crossings than a lower bound on every
+    test, and every rejection comes from that test. Its final rotation,
+    checked against Euler's formula, seeds the planarization. The kept set
+    depends only on g, m and the order; the rotation also on the planar
+    sets that earlier orders left in the shared memo, so the search as a
+    whole depends only on g and m. Each rejected edge crosses at least once
+    when it is routed (else the kept set plus that edge would be planar),
+    so an order is dropped as soon as its rejections reach the best
+    crossing count so far: it cannot be strictly better. The search stops
+    at a drawing with no more crossings than a lower bound on every
     drawing: deleting one edge per crossing of a simple graph with girth g
     leaves a planar graph of girth at least g, which has at most
     g(n - 2)/(g - 2) edges. For a multigraph the bound is 0.
@@ -376,25 +378,22 @@ def _search_orders(non_m: list[int]) -> list[list[int]]:
 
 class _PlanarityMemo:
     """Planarity of edge sets of one graph, the sets as int masks of its
-    edge ids.
+    edge ids: the drawing search's only planarity test.
 
     A set that contains a set known to be nonplanar is nonplanar. A set
     inside a set known to be planar is planar, with that set's rotation
     restricted to its edges: deleting edges keeps an embedding plane. Any
     other set takes one left-right test, whose answer is recorded; only
     the minimal known nonplanar and the maximal known planar sets are
-    kept. Every answer is exact; only the rotation may differ from the
-    left-right test's own.
+    kept. Every answer is exact; the rotation may differ from the
+    left-right test's own, and the greedy passes it on to seed the
+    candidate's planarization.
     """
 
     def __init__(self, mg: Multigraph) -> None:
         self.mg = mg
         self.nonplanar: list[int] = []
         self.planar: list[tuple[int, dict[int, list[Dart]]]] = []
-        self.embeddings: dict[tuple[int, ...], PlanarEmbedding | None] = {}
-
-    def _subgraph(self, edge_ids: Sequence[int]) -> Multigraph:
-        return Multigraph(self.mg.n, [self.mg.edges[x] for x in edge_ids])
 
     def rotation(self, mask: int) -> dict[int, list[Dart]] | None:
         """A planar rotation system of the edge set mask, keyed by edge ids
@@ -408,7 +407,7 @@ class _PlanarityMemo:
                     v: [d for d in ring if mask >> d[0] & 1] for v, ring in rot.items()
                 }
         ids = [x for x in range(self.mg.m) if mask >> x & 1]
-        emb = is_planar(self._subgraph(ids))
+        emb = is_planar(Multigraph(self.mg.n, [self.mg.edges[x] for x in ids]))
         if emb is None:
             self.nonplanar = [bad for bad in self.nonplanar if bad & mask != mask]
             self.nonplanar.append(mask)
@@ -417,14 +416,6 @@ class _PlanarityMemo:
         self.planar = [(k, r) for k, r in self.planar if k & mask != k]
         self.planar.append((mask, rot))
         return {v: list(ring) for v, ring in rot.items()}
-
-    def embedding(self, kept: list[int]) -> PlanarEmbedding | None:
-        """``is_planar`` of the subgraph on the edges kept (sorted), which
-        numbers its edges in that order; one test per distinct set."""
-        key = tuple(kept)
-        if key not in self.embeddings:
-            self.embeddings[key] = is_planar(self._subgraph(kept))
-        return self.embeddings[key]
 
 
 @dataclass
@@ -466,27 +457,26 @@ class _DrawingSearch:
         rejected edge crosses at least once when routed, so the candidate
         would have at least that many crossings."""
         mg = self.mg
-        kept = _planar_subgraph(mg, self.m_set, edge_order, self.memo, max_rejected)
-        if kept is None:
+        greedy = _planar_subgraph(mg, self.m_set, edge_order, self.memo, max_rejected)
+        if greedy is None:
             return None
-        emb = self.memo.embedding(kept)
-        if emb is None:
-            # Not a property of the input: the greedy accepted a wrong edge.
-            raise RuntimeError("planar subgraph stage failed")
+        kept, rot = greedy
 
         pl = _Planarizer()
         for _ in range(mg.n):
             pl.new_vertex()
-        for orig in kept:
-            pl.seed_edge(*mg.edges[orig], orig)
-        # Planarizer edge i mirrors embedded edge i (both enumerate kept in order).
+        index = {orig: pl.seed_edge(*mg.edges[orig], orig) for orig in kept}
         for v in range(mg.n):
-            pl.rot[v] = list(emb.rotation[v])
+            pl.rot[v] = [(index[e], s) for e, s in rot[v]]
+        try:
+            pl.verify_planar()
+        except GraphError as exc:
+            # Not a property of the input: the greedy accepted a wrong edge.
+            raise RuntimeError("planar subgraph stage failed") from exc
 
-        kept_set = set(kept)
         router = _Router(mg, self.m_set, set())
         for e in edge_order:
-            if e not in kept_set:
+            if e not in index:
                 router.route(pl, e, *mg.edges[e])
         return _Candidate(pl, router.crossings, router.dummies)
 
@@ -505,13 +495,14 @@ def _planar_subgraph(
     edge_order: list[int],
     memo: _PlanarityMemo,
     max_rejected: int | None = None,
-) -> list[int] | None:
+) -> tuple[list[int], dict[int, list[Dart]]] | None:
     """Greedy maximal planar subgraph: the edges of m_set, then each edge of
-    edge_order that keeps the kept set planar; returned sorted, or None once
-    max_rejected edges have been rejected.
+    edge_order that keeps the kept set planar. Returns the kept edges,
+    sorted, and a planar rotation system of them keyed by edge ids of mg;
+    or None once max_rejected edges have been rejected.
 
-    A rotation system of the kept edges, keyed by edge ids of mg, decides
-    each candidate e = (a, b) by the first rule that applies:
+    The rotation system decides each candidate e = (a, b) by the first rule
+    that applies:
 
     1. a and b lie in different components of the kept set: accept, with
        the new darts anywhere in the rotations at a and b;
@@ -558,7 +549,7 @@ def _planar_subgraph(
             rot = trial
         kept.append(e)
         mask |= 1 << e
-    return sorted(kept)
+    return sorted(kept), rot
 
 
 def _shared_face(
@@ -662,13 +653,8 @@ def seek_planarizing_drawing(g: CubicGraph, m: PseudoMatching) -> Drawing | None
     """
     cg = contract(g, m)
     mg = g.graph
-
-    # Embed the loopless quotient (loops never change planarity, and they
-    # stay internal to their patches).
-    nonloop = [qe for qe, (a, b) in enumerate(cg.graph.edges) if a != b]
-    skeleton = Multigraph(cg.graph.n, [cg.graph.edges[qe] for qe in nonloop])
-    sk_emb = is_planar(skeleton)
-    if sk_emb is None:
+    q_emb = is_planar(cg.graph)
+    if q_emb is None:
         return None
     internal: dict[int, list[int]] = {}
     for qe, (a, b) in enumerate(cg.graph.edges):
@@ -680,7 +666,9 @@ def seek_planarizing_drawing(g: CubicGraph, m: PseudoMatching) -> Drawing | None
     patches: list[_Patch] = []  # patches[q] draws quotient vertex q
     comps = quotient_components(mg, m, cg)
     for q in range(cg.graph.n):
-        darts = [(nonloop[e], s) for e, s in sk_emb.rotation[q]]
+        # A loop stays inside its patch, so its darts (head q) are left out.
+        ring = q_emb.rotation[q]
+        darts = [(e, s) for e, s in ring if cg.graph.edges[e][1 - s] != q]
         patches.append(
             _build_patch(
                 mg, cg, q, darts, comps[q], internal.get(q, []), m_edges, crossed

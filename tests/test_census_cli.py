@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -264,6 +265,54 @@ class TestCli:
         src = tmp_path / "list.g6"
         src.write_text(petersen_g6 + "\n")
         assert main(["census", "--input", str(src), "--mode", "both"]) == 2
+
+    @pytest.mark.parametrize(
+        "command, flag", [("analyze", "--graph"), ("construct", "--input")]
+    )
+    def test_undecided_k5_search_exit_code(
+        self, tmp_path, capsys, monkeypatch, command, flag
+    ):
+        prefix = str(tmp_path / "pet")
+        main(["gen", "--family", "petersen", "--out", prefix])
+        capsys.readouterr()
+        monkeypatch.setattr(ppm, "has_k5_minor", _raise_undecided)
+        assert main([command, flag, prefix + ".g6", "--ppm", prefix + ".ppm"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("undecided: forced by the test")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_code(self, tmp_path, capsys, petersen_g6, workers):
+        src = tmp_path / "list.g6"
+        src.write_text(petersen_g6 + "\n")
+        assert main(["census", "--input", str(src), "--workers", workers]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: workers must be at least 1, got {workers}")
+
+    def test_at_most_one_worker_per_graph(self, petersen_g6, monkeypatch):
+        # A fake pool records the size asked for and runs the jobs here.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, jobs):
+                return [fn(*job) for job in jobs]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        one = petersen_g6 + "\n"
+        two = write_graph6(named.cube()) + "\n" + one
+        assert run_census(one, workers=64).to_tsv() == run_census(one).to_tsv()
+        assert sizes == []
+        assert run_census(two, workers=64).to_tsv() == run_census(two).to_tsv()
+        assert sizes == [2]
 
     @pytest.mark.parametrize("value", ["abc", "-5", "1.5"])
     def test_bad_timeout_exit_code(

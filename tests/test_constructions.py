@@ -39,6 +39,7 @@ from snarkppm import (
     validate_drawing,
     verify_cycle_set,
 )
+from snarkppm.minors import is_planar
 
 
 class TestReplaceCrossing:
@@ -166,12 +167,16 @@ class TestStarConstruction:
 
     def test_nonplanar_greedy_result_is_not_skipped(self, monkeypatch):
         # A greedy that keeps a nonplanar edge set is a bug, not a bad edge
-        # order for the order search to pass over.
-        monkeypatch.setattr(
-            snarkppm.drawing,
-            "_planar_subgraph",
-            lambda mg, m_set, edge_order, memo, max_rejected=None: list(range(mg.m)),
-        )
+        # order for the order search to pass over. Every rotation of
+        # Petersen's edges fails the Euler check of the seeded planarizer.
+        def greedy(mg, m_set, edge_order, memo, max_rejected=None):
+            rot = {v: [] for v in range(mg.n)}
+            for e, (a, b) in enumerate(mg.edges):
+                rot[a].append((e, 0))
+                rot[b].append((e, 1))
+            return list(range(mg.m)), rot
+
+        monkeypatch.setattr(snarkppm.drawing, "_planar_subgraph", greedy)
         inst = petersen()
         with pytest.raises(RuntimeError, match="planar subgraph stage failed"):
             star_construction(inst.graph, inst.designated_ppm)
@@ -219,6 +224,51 @@ class TestSmallDrawing:
             d = draw_m_avoiding(g, m)
             validate_drawing(d)
             assert len(d.crossings) == crossings, g.graph.edges
+
+    def test_every_planarity_test_is_the_memos(self, monkeypatch, bench_relabel):
+        # The greedy's own rotation seeds each candidate, so the drawing
+        # search embeds no kept set again: each left-right test it runs is
+        # one that _PlanarityMemo.rotation asks for.
+        memo_rotation = snarkppm.drawing._PlanarityMemo.rotation
+        depth = [0]
+        inside, outside = [0], [0]
+
+        def rotation(self, mask):
+            depth[0] += 1
+            try:
+                return memo_rotation(self, mask)
+            finally:
+                depth[0] -= 1
+
+        def counted(graph):
+            (inside if depth[0] else outside)[0] += 1
+            return is_planar(graph)
+
+        monkeypatch.setattr(snarkppm.drawing._PlanarityMemo, "rotation", rotation)
+        monkeypatch.setattr(snarkppm.drawing, "is_planar", counted)
+        for inst in (petersen(), blanusa_snark(2, 1), blanusa_snark(2, 2)):
+            rng = random.Random(1010)
+            copies = [(inst.graph, inst.designated_ppm)]
+            copies += [
+                bench_relabel(inst.graph, inst.designated_ppm, rng) for _ in range(25)
+            ]
+            for g, m in copies:
+                draw_m_avoiding(g, m)
+        assert outside[0] == 0 and inside[0] > 0, (inside, outside)
+
+    def test_goldberg_crossings_do_not_rise(self, bench_relabel):
+        # On 30 relabeled copies of G5 the i-th smallest crossing count may
+        # fall but never rise above the pinned one; at 12 crossings the
+        # star of G5 needs 136 vertices, past the cap of 128.
+        inst = goldberg_snark(5)
+        rng = random.Random(4242)
+        counts = []
+        for _ in range(30):
+            g, m = bench_relabel(inst.graph, inst.designated_ppm, rng)
+            counts.append(len(draw_m_avoiding(g, m).crossings))
+        counts.sort()
+        pinned = [10] * 10 + [11] * 12 + [12] * 8
+        assert all(c <= p for c, p in zip(counts, pinned)), counts
 
     @pytest.mark.parametrize(
         "make",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -142,13 +143,20 @@ class TestPlanarSubgraph:
                 cases += [(g, m_set, non_m), (g, m_set, non_m[::-1])]
         assert len(cases) == 418
         # One memo per (graph, PPM) across its orders, as one drawing search
-        # shares it, must keep the same sets as a fresh memo per order.
+        # shares it, must keep the same sets as a fresh memo per order; the
+        # rotations may differ, but each must embed its kept set.
         shared: dict[tuple, _PlanarityMemo] = {}
         for g, m_set, order in cases:
             mg = g.graph
-            kept = _planar_subgraph(mg, m_set, order, _PlanarityMemo(mg))
+            kept, rot = _planar_subgraph(mg, m_set, order, _PlanarityMemo(mg))
             memo = shared.setdefault((id(g), frozenset(m_set)), _PlanarityMemo(mg))
-            assert _planar_subgraph(mg, m_set, order, memo) == kept
+            kept_shared, rot_shared = _planar_subgraph(mg, m_set, order, memo)
+            assert kept_shared == kept
+            index = {e: i for i, e in enumerate(kept)}
+            sub = Multigraph(mg.n, [mg.edges[e] for e in kept])
+            for r in (rot, rot_shared):
+                local = {v: [(index[e], s) for e, s in ring] for v, ring in r.items()}
+                PlanarEmbedding(sub, local).verify_euler()
             assert kept == sorted(set(kept))
             assert m_set <= set(kept) <= m_set | set(order)
             assert planar(mg, kept), (mg.edges, order)
@@ -218,6 +226,32 @@ class TestPlanarityMemo:
 
 
 class TestSeekPlanarizing:
+    def test_witness_drawings_pinned(self, cubic_graphs_le8):
+        # One SHA-256 over the witness of every PPM of the cubic corpus,
+        # Petersen, B18^1, B18^2 and J5 (407 drawings, 500 None), taken when
+        # the quotient's loops were left out of its embedding.
+        graphs = [CubicGraph(g) for g in cubic_graphs_le8]
+        for inst in (petersen(), blanusa_snark(2, 1), blanusa_snark(2, 2), flower_snark(5)):
+            graphs.append(inst.graph)
+        digest = hashlib.sha256()
+        drawn = 0
+        for g in graphs:
+            for m in enumerate_ppms(g):
+                d = seek_planarizing_drawing(g, m)
+                if d is None:
+                    digest.update(b"None\n")
+                    continue
+                drawn += 1
+                rotation = sorted(d.embedding.rotation.items())
+                segments = sorted(d.segment_map.items())
+                key = (d.planarized.n, d.planarized.edges, rotation, d.crossings,
+                       d.crossing_dummies, segments)
+                digest.update(repr(key).encode() + b"\n")
+        assert drawn == 407
+        assert digest.hexdigest() == (
+            "c78ca3f89a9cc9ec706814e1c9d18d226820c4d7dfafb3387ec3ca71ad773960"
+        )
+
     def test_petersen_designated_witness(self):
         inst = petersen()
         d = seek_planarizing_drawing(inst.graph, inst.designated_ppm)
