@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from .embedding import Dart, PlanarEmbedding, face_successor, trace_faces
-from .minors import is_planar
+from .minors import is_planar, planar_skeleton
 from .multigraph import CubicGraph, GraphError, Multigraph, girth
 from .ppm import (
     Component,
@@ -117,19 +117,6 @@ def _component_local(g: Multigraph, comp_of: dict[int, int], e: int, f: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def _insert_across_face(
-    edges: Sequence[tuple[int, int]], rot: dict[int, list[Dart]], e: int,
-    da: Dart, db: Dart,
-) -> None:
-    """Put edge e = (tail(da), tail(db)) into rot across the face that has
-    da and db on its boundary: (e, 0) goes just before da, (e, 1) just
-    before db. This splits that face in two, so the rotation stays planar."""
-    ru = rot[edges[da[0]][da[1]]]
-    ru.insert(ru.index(da), (e, 0))
-    rv = rot[edges[db[0]][db[1]]]
-    rv.insert(rv.index(db), (e, 1))
-
-
 class _Planarizer:
     """Planar rotation system under edge insertion with crossings.
 
@@ -188,9 +175,13 @@ class _Planarizer:
 
     def connect_darts(self, da: Dart, db: Dart, owner: int) -> int:
         """Insert an edge from tail(da) to tail(db) across the face that has
-        da and db on its boundary (validity is the caller's responsibility)."""
+        da and db on its boundary (validity is the caller's responsibility):
+        (e, 0) goes just before da, (e, 1) just before db, which splits that
+        face in two."""
         e = self.seed_edge(self.tail(da), self.tail(db), owner)
-        _insert_across_face(self.edges, self.rot, e, da, db)
+        for d, end in ((da, (e, 0)), (db, (e, 1))):
+            ring = self.rot[self.tail(d)]
+            ring.insert(ring.index(d), end)
         return e
 
     def _find_route(
@@ -326,21 +317,21 @@ def draw_m_avoiding(g: CubicGraph, m: PseudoMatching) -> Drawing:
     them, so they share its planarity answers, and only the winner is
     finished and validated.
 
-    The greedy (``_planar_subgraph``) keeps a rotation system of the kept
-    edges and accepts an edge that joins two components, is a loop, or
-    joins two vertices of one face; only the other edges take a planarity
-    test, and every rejection comes from that test. Its final rotation,
-    checked against Euler's formula, seeds the planarization. The kept set
-    depends only on g, m and the order; the rotation also on the planar
-    sets that earlier orders left in the shared memo, so the search as a
-    whole depends only on g and m. Each rejected edge crosses at least once
-    when it is routed (else the kept set plus that edge would be planar),
-    so an order is dropped as soon as its rejections reach the best
-    crossing count so far: it cannot be strictly better. The search stops
-    at a drawing with no more crossings than a lower bound on every
-    drawing: deleting one edge per crossing of a simple graph with girth g
-    leaves a planar graph of girth at least g, which has at most
-    g(n - 2)/(g - 2) edges. For a multigraph the bound is 0.
+    The greedy (``_planar_subgraph``) accepts an edge that joins two
+    components of the kept set, is a loop, or is parallel to a kept edge;
+    only the other edges take a planarity test, a yes/no verdict, and
+    every rejection comes from that test. The kept set is embedded once by
+    ``is_planar``, checked against Euler's formula, to seed the
+    planarization, so a candidate depends only on g, m and its order, and
+    orders that keep the same set share its embedding. Each rejected edge
+    crosses at least once when it is routed (else the kept set plus that
+    edge would be planar), so an order is dropped as soon as its
+    rejections reach the best crossing count so far: it cannot be strictly
+    better. The search stops at a drawing with no more crossings than a
+    lower bound on every drawing: deleting one edge per crossing of a
+    simple graph with girth g leaves a planar graph of girth at least g,
+    which has at most g(n - 2)/(g - 2) edges. For a multigraph the bound
+    is 0.
     """
     floor = 0
     if g.simple and g.n >= 3:
@@ -378,44 +369,52 @@ def _search_orders(non_m: list[int]) -> list[list[int]]:
 
 class _PlanarityMemo:
     """Planarity of edge sets of one graph, the sets as int masks of its
-    edge ids: the drawing search's only planarity test.
+    edge ids.
 
-    A set that contains a set known to be nonplanar is nonplanar. A set
-    inside a set known to be planar is planar, with that set's rotation
-    restricted to its edges: deleting edges keeps an embedding plane. Any
-    other set takes one left-right test, whose answer is recorded; only
-    the minimal known nonplanar and the maximal known planar sets are
-    kept. Every answer is exact; the rotation may differ from the
-    left-right test's own, and the greedy passes it on to seed the
-    candidate's planarization.
+    ``verdict`` answers yes or no. A set that contains a set known to be
+    nonplanar is nonplanar, and a set inside a set known to be planar is
+    planar; any other set takes ``planar_skeleton``, the verdict of
+    ``minors.planar``, on its simple skeleton, and the answer is recorded.
+    Only the minimal known nonplanar and the maximal known planar sets are
+    kept, so every answer is exact. ``embedding`` runs ``is_planar`` once
+    per distinct set.
     """
 
     def __init__(self, mg: Multigraph) -> None:
         self.mg = mg
         self.nonplanar: list[int] = []
-        self.planar: list[tuple[int, dict[int, list[Dart]]]] = []
+        self.planar: list[int] = []
+        self.embeddings: dict[int, PlanarEmbedding | None] = {}
 
-    def rotation(self, mask: int) -> dict[int, list[Dart]] | None:
-        """A planar rotation system of the edge set mask, keyed by edge ids
-        of the graph (fresh lists the caller may change), or None if that
-        set is nonplanar."""
+    def verdict(self, mask: int) -> bool:
+        """True iff the edge set mask is planar."""
         if any(bad & mask == bad for bad in self.nonplanar):
-            return None
-        for known, rot in self.planar:
-            if known & mask == mask:
-                return {
-                    v: [d for d in ring if mask >> d[0] & 1] for v, ring in rot.items()
-                }
-        ids = [x for x in range(self.mg.m) if mask >> x & 1]
-        emb = is_planar(Multigraph(self.mg.n, [self.mg.edges[x] for x in ids]))
-        if emb is None:
+            return False
+        if any(known & mask == mask for known in self.planar):
+            return True
+        adj = dict.fromkeys(range(self.mg.n), 0)
+        for x in range(self.mg.m):
+            if mask >> x & 1:
+                a, b = self.mg.edges[x]
+                if a != b:
+                    adj[a] |= 1 << b
+                    adj[b] |= 1 << a
+        if not planar_skeleton(adj):
             self.nonplanar = [bad for bad in self.nonplanar if bad & mask != mask]
             self.nonplanar.append(mask)
-            return None
-        rot = {v: [(ids[i], s) for i, s in ring] for v, ring in emb.rotation.items()}
-        self.planar = [(k, r) for k, r in self.planar if k & mask != k]
-        self.planar.append((mask, rot))
-        return {v: list(ring) for v, ring in rot.items()}
+            return False
+        self.planar = [known for known in self.planar if known & mask != known]
+        self.planar.append(mask)
+        return True
+
+    def embedding(self, kept: list[int]) -> PlanarEmbedding | None:
+        """``is_planar`` of the subgraph on the edges kept (sorted), which
+        numbers its edges in that order; one test per distinct set."""
+        mask = sum(1 << e for e in kept)
+        if mask not in self.embeddings:
+            sub = Multigraph(self.mg.n, [self.mg.edges[e] for e in kept])
+            self.embeddings[mask] = is_planar(sub)
+        return self.embeddings[mask]
 
 
 @dataclass
@@ -457,26 +456,27 @@ class _DrawingSearch:
         rejected edge crosses at least once when routed, so the candidate
         would have at least that many crossings."""
         mg = self.mg
-        greedy = _planar_subgraph(mg, self.m_set, edge_order, self.memo, max_rejected)
-        if greedy is None:
+        kept = _planar_subgraph(mg, self.m_set, edge_order, self.memo, max_rejected)
+        if kept is None:
             return None
-        kept, rot = greedy
+        emb = self.memo.embedding(kept)
+        if emb is None:
+            # Not a property of the input: the greedy accepted a wrong edge.
+            raise RuntimeError("planar subgraph stage failed")
 
         pl = _Planarizer()
         for _ in range(mg.n):
             pl.new_vertex()
-        index = {orig: pl.seed_edge(*mg.edges[orig], orig) for orig in kept}
+        for orig in kept:
+            pl.seed_edge(*mg.edges[orig], orig)
+        # Planarizer edge i mirrors embedded edge i (both enumerate kept in order).
         for v in range(mg.n):
-            pl.rot[v] = [(index[e], s) for e, s in rot[v]]
-        try:
-            pl.verify_planar()
-        except GraphError as exc:
-            # Not a property of the input: the greedy accepted a wrong edge.
-            raise RuntimeError("planar subgraph stage failed") from exc
+            pl.rot[v] = list(emb.rotation[v])
 
+        kept_set = set(kept)
         router = _Router(mg, self.m_set, set())
         for e in edge_order:
-            if e not in index:
+            if e not in kept_set:
                 router.route(pl, e, *mg.edges[e])
         return _Candidate(pl, router.crossings, router.dummies)
 
@@ -495,28 +495,26 @@ def _planar_subgraph(
     edge_order: list[int],
     memo: _PlanarityMemo,
     max_rejected: int | None = None,
-) -> tuple[list[int], dict[int, list[Dart]]] | None:
+) -> list[int] | None:
     """Greedy maximal planar subgraph: the edges of m_set, then each edge of
-    edge_order that keeps the kept set planar. Returns the kept edges,
-    sorted, and a planar rotation system of them keyed by edge ids of mg;
-    or None once max_rejected edges have been rejected.
+    edge_order that keeps the kept set planar; returned sorted, or None once
+    max_rejected edges have been rejected.
 
-    The rotation system decides each candidate e = (a, b) by the first rule
-    that applies:
+    A union-find and the neighbour bitmasks of the kept set decide each
+    candidate e = (a, b) by the first rule that applies:
 
-    1. a and b lie in different components of the kept set: accept, with
-       the new darts anywhere in the rotations at a and b;
-    2. e is a loop, or a and b lie on a common face: accept, inserting e
-       across that face (a loop's two darts side by side);
-    3. otherwise ask memo (a ``_PlanarityMemo`` of mg, which may be shared
-       by every order of one search) about the kept set plus e; if it is
-       planar, accept and take the memo's rotation as the new one, since
-       the old one may not extend.
+    1. a and b lie in different components of the kept set, e is a loop,
+       or e is parallel to a kept edge: accept, since none of these can
+       make a planar set nonplanar;
+    2. otherwise accept iff memo (a ``_PlanarityMemo`` of mg, which may be
+       shared by every order of one search) finds the kept set plus e
+       planar.
 
-    Rules 1 and 2 are sufficient for planarity and the memo is exact, so
-    the kept set is exactly that of testing every candidate.
+    Rule 1 is sufficient for planarity and the memo is exact, so the kept
+    set is exactly that of testing every candidate.
     """
     comp = list(range(mg.n))  # union-find over the kept edges
+    nbrs = [0] * mg.n  # neighbour bitmasks of the kept edges
 
     def find(v: int) -> int:
         while comp[v] != v:
@@ -524,7 +522,6 @@ def _planar_subgraph(
             v = comp[v]
         return v
 
-    rot: dict[int, list[Dart]] = {v: [] for v in range(mg.n)}
     kept: list[int] = []
     mask = 0
     rejected = 0
@@ -533,39 +530,16 @@ def _planar_subgraph(
         ra, rb = find(a), find(b)
         if ra != rb:
             comp[ra] = rb
-            rot[a].append((e, 0))
-            rot[b].append((e, 1))
-        elif a == b:
-            rot[a][:0] = [(e, 0), (e, 1)]
-        elif (pair := _shared_face(mg.edges, rot, a, b)) is not None:
-            _insert_across_face(mg.edges, rot, e, *pair)
-        else:
-            trial = memo.rotation(mask | 1 << e)
-            if trial is None:
-                rejected += 1
-                if max_rejected is not None and rejected >= max_rejected:
-                    return None
-                continue
-            rot = trial
+        elif a != b and not nbrs[a] >> b & 1 and not memo.verdict(mask | 1 << e):
+            rejected += 1
+            if max_rejected is not None and rejected >= max_rejected:
+                return None
+            continue
+        nbrs[a] |= 1 << b
+        nbrs[b] |= 1 << a
         kept.append(e)
         mask |= 1 << e
-    return sorted(kept), rot
-
-
-def _shared_face(
-    edges: Sequence[tuple[int, int]], rot: dict[int, list[Dart]], a: int, b: int
-) -> tuple[Dart, Dart] | None:
-    """Darts at a and at b on one common face of rot, if there is one.
-    Only the faces at a are walked."""
-    seen: set[Dart] = set()
-    for da in rot[a]:
-        d = da
-        while d not in seen:
-            if edges[d[0]][d[1]] == b:
-                return da, d
-            seen.add(d)
-            d = face_successor(edges, rot, d)
-    return None
+    return sorted(kept)
 
 
 @dataclass
@@ -614,7 +588,8 @@ class _Router:
         while pl.tail(d) != b:
             d = face_successor(pl.edges, pl.rot, d)
             if d == cur_dart:
-                raise GraphError("route lost its target face")
+                # Not a property of the edge order: the face path was wrong.
+                raise RuntimeError("route lost its target face")
         pl.connect_darts(cur_dart, d, orig)
 
 

@@ -39,13 +39,16 @@ def trace_faces(
 ) -> tuple[list[list[Dart]], dict[Dart, int]]:
     """Face walks of a rotation system and the face index of every dart.
 
-    Walks follow ``face_successor`` and start at the first unvisited dart in
-    vertex order, then rotation order, so face indices are deterministic.
+    Walks follow ``face_successor``, read from one map of each dart to the
+    next in its rotation, and start at the first unvisited dart in vertex
+    order, then rotation order, so face indices are deterministic.
     """
+    after: dict[Dart, Dart] = {}
     for v, darts in rotation.items():
         for d in darts:
             if edges[d[0]][d[1]] != v:
                 raise GraphError(f"dart {d} listed at vertex {v} but has tail elsewhere")
+        after.update(zip(darts, darts[1:] + darts[:1]))
     walks: list[list[Dart]] = []
     face_of: dict[Dart, int] = {}
     for v in sorted(rotation):
@@ -57,7 +60,7 @@ def trace_faces(
             while d not in face_of:
                 face_of[d] = len(walks)
                 walk.append(d)
-                d = face_successor(edges, rotation, d)
+                d = after[d[0], 1 - d[1]]
             walks.append(walk)
     return walks, face_of
 

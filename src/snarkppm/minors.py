@@ -10,8 +10,9 @@ It runs in one of two modes:
   mode on the simple skeleton of each component, splices parallel edges
   and loops back into the rotation, and checks the result against Euler's
   formula. The drawing code calls it for the rotations it draws on.
-- without it, it returns only the verdict. ``planar`` and each node of the
-  K5-minor search use this mode.
+- without it, it returns only the verdict. ``planar_skeleton`` (behind
+  ``planar`` and the drawing search's greedy) and each node of the K5-minor
+  search use this mode.
 
 Both verdicts start from the skeleton's neighbour bitmasks and one settle
 step (``_settle``): delete vertices of degree at most 1, suppress those of
@@ -90,13 +91,19 @@ def is_planar(g: Multigraph) -> PlanarEmbedding | None:
 
 def planar(g: Multigraph) -> bool:
     """True iff g is planar: the verdict of ``is_planar`` without building
-    an embedding.
-
-    ``_settle`` reduces the simple skeleton and answers where its bounds
-    reach (planar below 5 vertices, nonplanar at m >= 3n - 5); otherwise g
-    is planar iff the left-right test passes on every component.
+    an embedding, which ``planar_skeleton`` gives on g's simple skeleton.
     """
-    adj = _skeleton(g)
+    return planar_skeleton(_skeleton(g))
+
+
+def planar_skeleton(adj: dict[int, int]) -> bool:
+    """True iff the simple graph with neighbour bitmasks adj (vertex ->
+    mask, in ascending vertex order) is planar; adj is reduced in place.
+
+    ``_settle`` reduces it and answers where its bounds reach (planar below
+    5 vertices, nonplanar at m >= 3n - 5); otherwise the graph is planar
+    iff the left-right test passes on every component.
+    """
     k5 = _settle(adj)
     if k5 is not None:
         return not k5

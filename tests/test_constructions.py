@@ -167,14 +167,10 @@ class TestStarConstruction:
 
     def test_nonplanar_greedy_result_is_not_skipped(self, monkeypatch):
         # A greedy that keeps a nonplanar edge set is a bug, not a bad edge
-        # order for the order search to pass over. Every rotation of
-        # Petersen's edges fails the Euler check of the seeded planarizer.
+        # order for the order search to pass over: the seed embedding of
+        # all of Petersen's edges does not exist.
         def greedy(mg, m_set, edge_order, memo, max_rejected=None):
-            rot = {v: [] for v in range(mg.n)}
-            for e, (a, b) in enumerate(mg.edges):
-                rot[a].append((e, 0))
-                rot[b].append((e, 1))
-            return list(range(mg.m)), rot
+            return list(range(mg.m))
 
         monkeypatch.setattr(snarkppm.drawing, "_planar_subgraph", greedy)
         inst = petersen()
@@ -226,25 +222,30 @@ class TestSmallDrawing:
             assert len(d.crossings) == crossings, g.graph.edges
 
     def test_every_planarity_test_is_the_memos(self, monkeypatch, bench_relabel):
-        # The greedy's own rotation seeds each candidate, so the drawing
-        # search embeds no kept set again: each left-right test it runs is
-        # one that _PlanarityMemo.rotation asks for.
-        memo_rotation = snarkppm.drawing._PlanarityMemo.rotation
-        depth = [0]
-        inside, outside = [0], [0]
+        # The greedy asks the memo for verdicts only, so it embeds nothing;
+        # the search embeds each distinct kept set at most once, to seed
+        # the candidates that keep it.
+        greedy = snarkppm.drawing._planar_subgraph
+        in_greedy = [False]
+        kept_sets: set[tuple] = set()
+        embedded: list[tuple] = []
 
-        def rotation(self, mask):
-            depth[0] += 1
+        def planar_subgraph(*args, **kwargs):
+            in_greedy[0] = True
             try:
-                return memo_rotation(self, mask)
+                kept = greedy(*args, **kwargs)
             finally:
-                depth[0] -= 1
+                in_greedy[0] = False
+            if kept is not None:
+                kept_sets.add(tuple(kept))
+            return kept
 
         def counted(graph):
-            (inside if depth[0] else outside)[0] += 1
+            assert not in_greedy[0], "the greedy embedded an edge set"
+            embedded.append(tuple(graph.edges))
             return is_planar(graph)
 
-        monkeypatch.setattr(snarkppm.drawing._PlanarityMemo, "rotation", rotation)
+        monkeypatch.setattr(snarkppm.drawing, "_planar_subgraph", planar_subgraph)
         monkeypatch.setattr(snarkppm.drawing, "is_planar", counted)
         for inst in (petersen(), blanusa_snark(2, 1), blanusa_snark(2, 2)):
             rng = random.Random(1010)
@@ -253,8 +254,13 @@ class TestSmallDrawing:
                 bench_relabel(inst.graph, inst.designated_ppm, rng) for _ in range(25)
             ]
             for g, m in copies:
+                kept_sets.clear()
+                embedded.clear()
                 draw_m_avoiding(g, m)
-        assert outside[0] == 0 and inside[0] > 0, (inside, outside)
+                assert 0 < len(embedded) <= len(kept_sets), g.graph.edges
+                kept_edges = {tuple(g.graph.edges[e] for e in k) for k in kept_sets}
+                assert len(set(embedded)) == len(embedded), g.graph.edges
+                assert set(embedded) <= kept_edges, g.graph.edges
 
     def test_goldberg_crossings_do_not_rise(self, bench_relabel):
         # On 30 relabeled copies of G5 the i-th smallest crossing count may
