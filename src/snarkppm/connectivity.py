@@ -20,9 +20,11 @@ in ascending order, with a dict of first halves that grows as i rises. So
 every hit is a c-set with XOR 0, found once; a set is built only on a hit.
 The lists of halves are built once for all sizes.
 
-If K is a cyclic component of G - S, then delta(V(K)) lies in S and is itself
-a cyclic cut, so every cyclic cut is a zero-XOR cyclic cut plus zero or more
-edges: a grown cut.
+Every zero-XOR set is checked for two cyclic sides, and the yield is the
+zero-XOR cyclic cuts. These are all that callers need: if K is a cyclic
+component of G - S for a cyclic cut S, then delta(V(K)) lies in S and is
+itself a cyclic cut with XOR 0. So every cyclic cut contains a yielded one,
+and a smallest cyclic cut is yielded first.
 
 Component count from the rank: the zero-XOR subsets of S are the cuts
 delta(X) for X a union of components of G - S, 2^(c-1) of them for c
@@ -31,12 +33,10 @@ two components A and B is the bond delta(A): each edge of S has one end on
 each side. ``_is_cyclic_bond`` floods the two sides in turns from the ends
 of one edge of S until one side is used up, so the trivial cuts, around a
 vertex, an edge or a path of two edges, cost a few steps; the other side's
-vertex and edge counts follow by subtraction. A grown S can also leave two
-components with one of its edges inside a side, so it goes through
-``_is_cyclic_cut``: there a class of cut ends (joined by non-cut edges)
-with no non-cut edge to any other vertex is a whole component, counted on
-the spot, and the other components are flooded one at a time until one is
-left, whose counts again follow by subtraction.
+vertex and edge counts follow by subtraction. An S that leaves three or
+more components goes through ``_is_cyclic_cut``, which floods them one at
+a time from the cut ends until one is left, whose counts again follow by
+subtraction.
 
 Graphs with no two vertex-disjoint cycles (e.g. K4, or the empty graph) have
 no cyclic cut, so ``cyclic_edge_connectivity_at_least`` reports True for
@@ -45,7 +45,6 @@ every k.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
 from typing import Iterator
 
@@ -62,33 +61,26 @@ def cyclic_edge_connectivity_at_least(g: CubicGraph, k: int) -> bool:
 
 
 def cyclic_cuts_up_to(g: Multigraph, max_size: int) -> Iterator[frozenset[int]]:
-    """All cyclic edge cuts of size <= max_size, each reported once, in
-    nondecreasing size. Raises GraphError at once on a disconnected graph."""
+    """Every cyclic edge cut of size <= max_size that is delta(X) for a
+    vertex set X, each reported once, in nondecreasing size. Every cyclic
+    cut contains one of these, so a smallest cyclic cut comes first.
+    Raises GraphError at once for max_size above 6 or a disconnected
+    graph."""
+    if max_size > 6:
+        raise GraphError(f"max_size={max_size} above the supported 6")
     if not g.is_connected():
         raise GraphError("cyclic edge connectivity needs a connected graph")
     if g.n == 0:
         return iter(())
-    return _cyclic_cuts(g, _cycle_labels(g), max_size)
-
-
-def _cyclic_cuts(
-    g: Multigraph, labels: list[int], max_size: int
-) -> Iterator[frozenset[int]]:
+    labels = _cycle_labels(g)
     heads: list[list] = [[(0, ())]]  # _xor_combos lists, shared by all sizes
     tails: list[list] = [[(0, ())]]
-    space_cuts: list[frozenset[int]] = []  # zero-XOR cyclic cuts of smaller sizes
-    for size in range(1, max_size + 1):
-        grown = {
-            base.union(extra)
-            for base in space_cuts
-            for extra in combinations(set(range(g.m)) - base, size - len(base))
-        }
-        for cut in _zero_xor_sets(labels, size, heads, tails):
-            grown.discard(cut)
-            if _is_cyclic_bond(g, labels, cut):
-                space_cuts.append(cut)
-                yield cut
-        yield from (cut for cut in grown if _is_cyclic_cut(g, labels, cut))
+    return (
+        cut
+        for size in range(1, max_size + 1)
+        for cut in _zero_xor_sets(labels, size, heads, tails)
+        if _is_cyclic_bond(g, labels, cut)
+    )
 
 
 def _cycle_labels(g: Multigraph) -> list[int]:
@@ -204,37 +196,24 @@ def _components(labels: list[int], cut: frozenset[int]) -> int:
 def _is_cyclic_cut(g: Multigraph, labels: list[int], cut: frozenset[int]) -> bool:
     """Removal must leave >= 2 components that each contain a cycle.
 
-    A component has a cycle iff it keeps at least as many edges as
-    vertices. A class of cut ends, joined by the non-cut edges among them,
-    that has no non-cut edge to any other vertex is a whole component,
-    counted on the spot. The components at the other cut ends are flooded
-    one by one while more than one is left; the last one's counts follow
-    by subtraction.
+    ``_is_cyclic_bond`` sends here the zero-XOR sets that leave three or
+    more components. A component has a cycle iff it keeps at least as many
+    edges as vertices. Every component holds a cut end, since G is
+    connected, so the components are flooded one at a time from the cut
+    ends while more than one is left; the last one's counts follow by
+    subtraction.
     """
     left = _components(labels, cut)  # components not counted yet
     if left < 2:
         return False
     vertices, kept = g.n, g.m - len(cut)  # in the components not counted yet
     cyclic = 0
-    ends = {v for e in cut for v in g.edges[e]}
-    open_ends = []
     seen: set[int] = set()
-    for s in ends:
-        if s not in seen:
-            size, degree, closed = _flood(g, cut, s, seen, ends)
-            if not closed:
-                open_ends.append(s)
-                continue
-            cyclic += degree >= 2 * size
-            vertices -= size
-            kept -= degree // 2
-            left -= 1
-    seen = set()
-    for s in open_ends:
+    for s in {v for e in cut for v in g.edges[e]}:
         if left < 2 or cyclic >= 2:
             break
         if s not in seen:
-            size, degree, _ = _flood(g, cut, s, seen, None)
+            size, degree = _flood(g, cut, s, seen)
             cyclic += degree >= 2 * size
             vertices -= size
             kept -= degree // 2
@@ -251,8 +230,7 @@ def _is_cyclic_bond(g: Multigraph, labels: list[int], cut: frozenset[int]) -> bo
     delta(A), so each cut edge has one end in A and one in B. The two sides
     are flooded in turns from the ends of one cut edge until one of them is
     used up; its vertex and edge counts say whether it has a cycle, and the
-    other side's follow by subtraction. A grown cut may also leave two
-    components but have an edge inside one side, so it never comes here.
+    other side's follow by subtraction.
     """
     if _components(labels, cut) != 2:
         return _is_cyclic_cut(g, labels, cut)
@@ -282,18 +260,13 @@ def _is_cyclic_bond(g: Multigraph, labels: list[int], cut: frozenset[int]) -> bo
     return kept >= size and g.m - len(cut) - kept >= g.n - size
 
 
-def _flood(
-    g: Multigraph, cut: frozenset[int], s: int, seen: set[int], within: set[int] | None
-) -> tuple[int, int, bool]:
-    """Flood G - cut from s, marking seen and, if within is given, not
-    leaving it. Returns the number of vertices reached, the sum of their
-    degrees in G - cut (a loop counts twice) and whether no edge of G - cut
-    leads outside within."""
+def _flood(g: Multigraph, cut: frozenset[int], s: int, seen: set[int]) -> tuple[int, int]:
+    """Flood G - cut from s, marking seen. Returns the number of vertices
+    reached and the sum of their degrees in G - cut (a loop counts twice)."""
     edges, incident = g.edges, g.incident_edges
     seen.add(s)
     stack = [s]
     size = degree = 0
-    closed = True
     while stack:
         v = stack.pop()
         size += 1
@@ -306,9 +279,7 @@ def _flood(
                 continue
             degree += 1
             w = b if a == v else a
-            if within is not None and w not in within:
-                closed = False
-            elif w not in seen:
+            if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return size, degree, closed
+    return size, degree

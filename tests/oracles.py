@@ -174,6 +174,45 @@ def brute_cyclic_cuts(g: Multigraph, max_size: int) -> set[frozenset[int]]:
     return out
 
 
+def is_edge_cut(g: Multigraph, cut: set[int]) -> bool:
+    """Whether cut is delta(X) for some vertex set X: each edge of cut joins
+    two different components of G - cut, and the graph of those components,
+    with the cut edges as its edges, is 2-colourable (checked by a BFS
+    colouring of it)."""
+    comp = list(range(g.n))  # union-find over the edges kept
+
+    def find(v: int) -> int:
+        while comp[v] != v:
+            comp[v] = comp[comp[v]]
+            v = comp[v]
+        return v
+
+    for e, (a, b) in enumerate(g.edges):
+        if e not in cut:
+            comp[find(a)] = find(b)
+    links: dict[int, list[int]] = {}
+    for e in cut:
+        a, b = (find(v) for v in g.edges[e])
+        if a == b:
+            return False
+        links.setdefault(a, []).append(b)
+        links.setdefault(b, []).append(a)
+    colour: dict[int, int] = {}
+    for s in links:
+        if s in colour:
+            continue
+        colour[s] = 0
+        queue = [s]
+        for u in queue:
+            for w in links[u]:
+                if w not in colour:
+                    colour[w] = 1 - colour[u]
+                    queue.append(w)
+                elif colour[w] == colour[u]:
+                    return False
+    return True
+
+
 def leaves_two_cyclic_components(g: Multigraph, cut: set[int]) -> bool:
     """Whether G - cut has two components that each keep as many edges as
     vertices, by one flood fill over the whole graph."""
