@@ -317,23 +317,18 @@ def _reduce(mg: Multigraph) -> list[int] | None:
 
 def _small_sides(mg: Multigraph) -> list[frozenset[int]]:
     """Pairwise disjoint vertex sets of 4 to ``_SIDE_MAX`` vertices, each a
-    component of G - S for a cyclic 4-cut S with all four edges of S
-    leaving it; smallest first, ties by their sorted vertices."""
+    side of a cyclic 4-bond; smallest first, ties by their sorted vertices.
+    Each side of a bond is a component of G - S that all four edges of S
+    leave, so the two ends of one cut edge reach both sides."""
     if not mg.is_connected():
         return []
     found = set()
     for cut in cyclic_cuts_up_to(mg, 4):
-        if len(cut) < 4:
-            continue
-        ends = [mg.edges[e] for e in cut]
-        flooded: set[int] = set()
-        for s in {v for pair in ends for v in pair}:
-            if s not in flooded:
+        if len(cut) == 4:
+            for s in mg.edges[next(iter(cut))]:
                 side = _small_component(mg, cut, s)
                 if side:
-                    flooded |= side
-                    if sum((a in side) != (b in side) for a, b in ends) == 4:
-                        found.add(side)
+                    found.add(side)
     chosen: list[frozenset[int]] = []
     taken: set[int] = set()
     for side in sorted(found, key=lambda s: (len(s), sorted(s))):

@@ -1,7 +1,13 @@
 """Cyclic edge connectivity by joining fundamental-cycle labels.
 
 A cyclic edge cut is an edge set whose removal leaves at least two components
-that each contain a cycle.
+that each contain a cycle. The search lists only the cyclic bonds: the edge
+cuts delta(X) whose two sides are connected and each contain a cycle.
+These are all that callers need: if K is a cyclic component of G - S for a
+cyclic cut S, and L the component of G - V(K) that holds another cyclic
+component, then delta(L) lies in S and is a cyclic bond, strictly smaller
+than S if G - S has three or more components. So every cyclic cut contains
+a cyclic bond, and a smallest cyclic cut is one.
 
 Labels: fix a BFS spanning tree. A non-tree edge gets its own bit, a tree edge
 the bits of the non-tree edges whose fundamental cycle runs through it. The
@@ -20,12 +26,6 @@ in ascending order, with a dict of first halves that grows as i rises. So
 every hit is a c-set with XOR 0, found once; a set is built only on a hit.
 The lists of halves are built once for all sizes.
 
-Every zero-XOR set is checked for two cyclic sides, and the yield is the
-zero-XOR cyclic cuts. These are all that callers need: if K is a cyclic
-component of G - S for a cyclic cut S, then delta(V(K)) lies in S and is
-itself a cyclic cut with XOR 0. So every cyclic cut contains a yielded one,
-and a smallest cyclic cut is yielded first.
-
 Component count from the rank: the zero-XOR subsets of S are the cuts
 delta(X) for X a union of components of G - S, 2^(c-1) of them for c
 components, so c = |S| - rank(labels of S) + 1. A zero-XOR S that leaves
@@ -33,10 +33,7 @@ two components A and B is the bond delta(A): each edge of S has one end on
 each side. ``_is_cyclic_bond`` floods the two sides in turns from the ends
 of one edge of S until one side is used up, so the trivial cuts, around a
 vertex, an edge or a path of two edges, cost a few steps; the other side's
-vertex and edge counts follow by subtraction. An S that leaves three or
-more components goes through ``_is_cyclic_cut``, which floods them one at
-a time from the cut ends until one is left, whose counts again follow by
-subtraction.
+vertex and edge counts follow by subtraction.
 
 Graphs with no two vertex-disjoint cycles (e.g. K4, or the empty graph) have
 no cyclic cut, so ``cyclic_edge_connectivity_at_least`` reports True for
@@ -61,11 +58,11 @@ def cyclic_edge_connectivity_at_least(g: CubicGraph, k: int) -> bool:
 
 
 def cyclic_cuts_up_to(g: Multigraph, max_size: int) -> Iterator[frozenset[int]]:
-    """Every cyclic edge cut of size <= max_size that is delta(X) for a
-    vertex set X, each reported once, in nondecreasing size. Every cyclic
-    cut contains one of these, so a smallest cyclic cut comes first.
-    Raises GraphError at once for max_size above 6 or a disconnected
-    graph."""
+    """Every cyclic bond of size <= max_size, each reported once, in
+    nondecreasing size: an edge cut delta(X) whose two sides are connected
+    and each contain a cycle. Every cyclic cut contains a cyclic bond, so a
+    smallest cyclic cut comes first. Raises GraphError at once for
+    max_size above 6 or a disconnected graph."""
     if max_size > 6:
         raise GraphError(f"max_size={max_size} above the supported 6")
     if not g.is_connected():
@@ -193,47 +190,17 @@ def _components(labels: list[int], cut: frozenset[int]) -> int:
     return len(cut) - len(basis) + 1
 
 
-def _is_cyclic_cut(g: Multigraph, labels: list[int], cut: frozenset[int]) -> bool:
-    """Removal must leave >= 2 components that each contain a cycle.
-
-    ``_is_cyclic_bond`` sends here the zero-XOR sets that leave three or
-    more components. A component has a cycle iff it keeps at least as many
-    edges as vertices. Every component holds a cut end, since G is
-    connected, so the components are flooded one at a time from the cut
-    ends while more than one is left; the last one's counts follow by
-    subtraction.
-    """
-    left = _components(labels, cut)  # components not counted yet
-    if left < 2:
-        return False
-    vertices, kept = g.n, g.m - len(cut)  # in the components not counted yet
-    cyclic = 0
-    seen: set[int] = set()
-    for s in {v for e in cut for v in g.edges[e]}:
-        if left < 2 or cyclic >= 2:
-            break
-        if s not in seen:
-            size, degree = _flood(g, cut, s, seen)
-            cyclic += degree >= 2 * size
-            vertices -= size
-            kept -= degree // 2
-            left -= 1
-    if left == 1:
-        cyclic += kept >= vertices
-    return cyclic >= 2
-
-
 def _is_cyclic_bond(g: Multigraph, labels: list[int], cut: frozenset[int]) -> bool:
-    """``_is_cyclic_cut`` for a cut whose labels XOR to 0, as the join finds.
+    """Whether a cut whose labels XOR to 0, as the join finds, is a cyclic bond.
 
-    Such a cut is delta(X). If G - cut has two components A and B, it is
-    delta(A), so each cut edge has one end in A and one in B. The two sides
-    are flooded in turns from the ends of one cut edge until one of them is
-    used up; its vertex and edge counts say whether it has a cycle, and the
-    other side's follow by subtraction.
+    Such a cut is delta(X); it is a bond iff the rank says G - cut has two
+    components A and B. Then it is delta(A), so each cut edge has one end
+    in A and one in B. The two sides are flooded in turns from the ends of
+    one cut edge until one of them is used up; its vertex and edge counts
+    say whether it has a cycle, and the other side's follow by subtraction.
     """
     if _components(labels, cut) != 2:
-        return _is_cyclic_cut(g, labels, cut)
+        return False
     edges, incident = g.edges, g.incident_edges
     ends = edges[next(iter(cut))]
     seen = set(ends)
@@ -259,27 +226,3 @@ def _is_cyclic_bond(g: Multigraph, labels: list[int], cut: frozenset[int]) -> bo
     size, kept = sizes[side], degrees[side] // 2
     return kept >= size and g.m - len(cut) - kept >= g.n - size
 
-
-def _flood(g: Multigraph, cut: frozenset[int], s: int, seen: set[int]) -> tuple[int, int]:
-    """Flood G - cut from s, marking seen. Returns the number of vertices
-    reached and the sum of their degrees in G - cut (a loop counts twice)."""
-    edges, incident = g.edges, g.incident_edges
-    seen.add(s)
-    stack = [s]
-    size = degree = 0
-    while stack:
-        v = stack.pop()
-        size += 1
-        for e in incident(v):
-            if e in cut:
-                continue
-            a, b = edges[e]
-            if a == b:
-                degree += 2
-                continue
-            degree += 1
-            w = b if a == v else a
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return size, degree

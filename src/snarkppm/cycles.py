@@ -520,7 +520,7 @@ def _reduce_level(
             raise GraphError("residual trail is not a single cycle")
         return [level], TAG_CYCLE, extracted + residual, cg
 
-    transits = _c1_transits(cg, g3, c1)
+    transits = _c1_transits(cg, c1)
     gprime, tprime, chains, kept_vertices = _suppress(
         cg.graph, kept_qedges, deg, transits
     )
@@ -561,9 +561,7 @@ def _extract_off_cycle(cg: ContractedGraph, c1: Cycle) -> list[Cycle]:
     return cycles
 
 
-def _c1_transits(
-    cg: ContractedGraph, g3: CubicGraph, c1: Cycle
-) -> dict[int, list[frozenset[int]]]:
+def _c1_transits(cg: ContractedGraph, c1: Cycle) -> dict[int, list[frozenset[int]]]:
     """Transition pairs induced on the quotient by the larger cycle's trail."""
     q_of_orig = {orig: qe for qe, orig in enumerate(cg.edge_origin)}
     k = len(c1.edges)

@@ -106,14 +106,13 @@ class PlanarEmbedding:
 
     def _verify_rotation_complete(self) -> None:
         g = self.graph
-        want: dict[int, int] = {v: 0 for v in range(g.n)}
-        for e, (a, b) in enumerate(g.edges):
-            want[a] += 1
-            want[b] += 1
         seen_darts: set[Dart] = set()
         for v in range(g.n):
             darts = self.rotation.get(v, [])
             for d in darts:
+                e, s = d
+                if not (0 <= e < g.m and s in (0, 1)):
+                    raise GraphError(f"dart {d} at vertex {v} is no end of an edge")
                 if d in seen_darts:
                     raise GraphError(f"dart {d} appears twice in rotation")
                 seen_darts.add(d)

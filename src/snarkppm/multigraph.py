@@ -300,19 +300,19 @@ def parse_edge_list(text: str) -> Multigraph:
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines:
         raise GraphError("empty edge-list input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise GraphError(f"bad header line {lines[0]!r}, expected 'n m'")
-    n, m = int(head[0]), int(head[1])
+    n, m = _int_pair(lines[0], f"bad header line {lines[0]!r}, expected 'n m'")
     if len(lines) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return Multigraph(n, edges)
+    return Multigraph(n, [_int_pair(ln, f"bad edge line {ln!r}") for ln in lines[1:]])
+
+
+def _int_pair(line: str, error: str) -> tuple[int, int]:
+    """The two integers of a line; GraphError(error) if it holds other than two."""
+    try:
+        a, b = map(int, line.split())
+    except ValueError:
+        raise GraphError(error) from None
+    return a, b
 
 
 def write_edge_list(g: Multigraph) -> str:

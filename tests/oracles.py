@@ -174,12 +174,10 @@ def brute_cyclic_cuts(g: Multigraph, max_size: int) -> set[frozenset[int]]:
     return out
 
 
-def is_edge_cut(g: Multigraph, cut: set[int]) -> bool:
-    """Whether cut is delta(X) for some vertex set X: each edge of cut joins
-    two different components of G - cut, and the graph of those components,
-    with the cut edges as its edges, is 2-colourable (checked by a BFS
-    colouring of it)."""
-    comp = list(range(g.n))  # union-find over the edges kept
+def is_bond(g: Multigraph, cut: set[int]) -> bool:
+    """Whether G - cut has exactly two components and every edge of cut
+    joins them, by a union-find over the edges kept."""
+    comp = list(range(g.n))
 
     def find(v: int) -> int:
         while comp[v] != v:
@@ -190,27 +188,9 @@ def is_edge_cut(g: Multigraph, cut: set[int]) -> bool:
     for e, (a, b) in enumerate(g.edges):
         if e not in cut:
             comp[find(a)] = find(b)
-    links: dict[int, list[int]] = {}
-    for e in cut:
-        a, b = (find(v) for v in g.edges[e])
-        if a == b:
-            return False
-        links.setdefault(a, []).append(b)
-        links.setdefault(b, []).append(a)
-    colour: dict[int, int] = {}
-    for s in links:
-        if s in colour:
-            continue
-        colour[s] = 0
-        queue = [s]
-        for u in queue:
-            for w in links[u]:
-                if w not in colour:
-                    colour[w] = 1 - colour[u]
-                    queue.append(w)
-                elif colour[w] == colour[u]:
-                    return False
-    return True
+    if len({find(v) for v in range(g.n)}) != 2:
+        return False
+    return all(find(a) != find(b) for a, b in (g.edges[e] for e in cut))
 
 
 def leaves_two_cyclic_components(g: Multigraph, cut: set[int]) -> bool:

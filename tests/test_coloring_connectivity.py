@@ -32,7 +32,6 @@ from snarkppm.connectivity import (
     _components,
     _cycle_labels,
     _is_cyclic_bond,
-    _is_cyclic_cut,
     _zero_xor_sets,
 )
 from snarkppm.families import FamilyInstance, flower_claw_ppm
@@ -217,49 +216,13 @@ class TestCyclicConnectivity:
         for g, k in cases:
             _agrees_with_brute_force(g, k)
 
-    def test_cyclicity_test_matches_oracle_verdict_by_verdict(self):
-        # Edge cuts delta(X), their supersets and random edge sets of sizes
-        # 1-6 on configuration-model multigraphs (loops, parallel edges).
-        rng = random.Random(1111)
-        verdicts = {True: 0, False: 0}
-        zero_xor = tested = 0
-        for _ in range(150):
-            n = rng.choice((2, 4, 6, 8, 10, 12, 14))
-            stubs = [v for v in range(n) for _ in range(3)]
-            rng.shuffle(stubs)
-            g = Multigraph(n, zip(stubs[::2], stubs[1::2]))
-            if not g.is_connected():
-                continue
-            labels = _cycle_labels(g)
-            for _ in range(20):
-                side = {v for v in range(n) if rng.random() < 0.5}
-                cut = {e for e, (a, b) in enumerate(g.edges) if (a in side) != (b in side)}
-                for _ in range(rng.randrange(3)):
-                    cut.add(rng.randrange(g.m))
-                if rng.random() < 0.3:
-                    cut = set(rng.sample(range(g.m), rng.randint(1, min(6, g.m))))
-                if not 1 <= len(cut) <= 6:
-                    continue
-                x = 0
-                for e in cut:
-                    x ^= labels[e]
-                zero_xor += x == 0
-                tested += 1
-                expect = oracles.leaves_two_cyclic_components(g, cut)
-                assert _is_cyclic_cut(g, labels, frozenset(cut)) == expect, (g.edges, cut)
-                verdicts[expect] += 1
-        assert min(zero_xor, tested - zero_xor, *verdicts.values()) > 400, (
-            zero_xor,
-            tested,
-            verdicts,
-        )
-
     def test_bond_path_matches_oracle_on_every_zero_xor_set(self):
         # The join's own path on configuration-model multigraphs (loops,
         # parallel edges; cubic, or degrees 2-4, where a side used up first
         # can be cyclic and the other not): every zero-XOR set of size 1-6,
-        # each found once, goes through _is_cyclic_bond. Those that leave
-        # three or more components go on to _is_cyclic_cut.
+        # each found once, goes through _is_cyclic_bond, which keeps the
+        # cyclic bonds. Those that leave three or more components are
+        # rejected, cyclic or not.
         rng = random.Random(1814)
         bonds = {True: 0, False: 0}
         many = {True: 0, False: 0}
@@ -283,14 +246,15 @@ class TestCyclicConnectivity:
                     if not _xor(labels, c)
                 }, g.edges
                 for cut in found:
-                    expect = oracles.leaves_two_cyclic_components(g, set(cut))
-                    assert _is_cyclic_bond(g, labels, cut) == expect, (g.edges, cut)
-                    if _components(labels, cut) == 2:
-                        bonds[expect] += 1
+                    cyclic = oracles.leaves_two_cyclic_components(g, set(cut))
+                    bond = oracles.is_bond(g, set(cut))
+                    assert _is_cyclic_bond(g, labels, cut) == (cyclic and bond), (g.edges, cut)
+                    assert bond == (_components(labels, cut) == 2), (g.edges, cut)
+                    if bond:
+                        bonds[cyclic] += 1
                     else:
-                        assert _is_cyclic_cut(g, labels, cut) == expect, (g.edges, cut)
-                        many[expect] += 1
-        assert min(*bonds.values(), *many.values()) > 200, (bonds, many)
+                        many[cyclic] += 1
+        assert min(*bonds.values(), many[True]) > 200, (bonds, many)
 
     @pytest.mark.parametrize(
         "make, counts",
@@ -411,15 +375,16 @@ class TestCyclicConnectivity:
 
     def test_ring_of_petersen_pieces_lists_its_cuts_in_under_a_second(self):
         # Twelve copies of Petersen minus an edge in a ring: every pair of
-        # ring edges is a cyclic 2-cut, and a cyclic cut plus further edges
-        # is not listed.
+        # ring edges is a cyclic 2-cut, and neither a cyclic cut plus
+        # further edges nor one that leaves three or more components (four
+        # ring edges) is listed.
         g = _ring(named.petersen_standard(), 12)
         start = time.perf_counter()
         cuts = list(cyclic_cuts_up_to(g, 4))
         assert time.perf_counter() - start < 1.0
-        assert len(cuts) == len(set(cuts)) == 1617
+        assert len(cuts) == len(set(cuts)) == 1122
         for cut in cuts:
-            assert oracles.is_edge_cut(g, set(cut))
+            assert oracles.is_bond(g, set(cut))
             assert oracles.leaves_two_cyclic_components(g, set(cut))
 
 
@@ -438,13 +403,13 @@ def _ring(g: Multigraph, copies: int) -> Multigraph:
 def _agrees_with_brute_force(g: Multigraph, k: int) -> set[frozenset[int]]:
     """Check the cuts up to size k against the oracle, and return the
     oracle's cyclic cuts: the yield is once each, in nondecreasing size,
-    exactly those of them that are edge cuts delta(X), and every one of
-    them contains a yielded cut."""
+    exactly those of them that are bonds, and every one of them contains a
+    yielded cut."""
     cuts = list(cyclic_cuts_up_to(g, k))
     assert len(set(cuts)) == len(cuts)
     assert [len(c) for c in cuts] == sorted(len(c) for c in cuts)
     brute = oracles.brute_cyclic_cuts(g, k)
-    assert set(cuts) == {c for c in brute if oracles.is_edge_cut(g, set(c))}, g.edges
+    assert set(cuts) == {c for c in brute if oracles.is_bond(g, set(c))}, g.edges
     assert all(any(cut <= c for cut in cuts) for c in brute), g.edges
     return brute
 

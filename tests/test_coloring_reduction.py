@@ -4,6 +4,7 @@ with 4-cuts, and the relabeled stars of Goldberg's G5 at the vertex cap."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 
@@ -15,6 +16,7 @@ from snarkppm import (
     CubicGraph,
     GraphError,
     Multigraph,
+    PseudoMatching,
     blanusa_snark,
     coloring,
     coloring_is_proper,
@@ -218,6 +220,21 @@ class TestForcedReduction:
 
 
 class TestAnswersUnchanged:
+    def test_small_sides_pinned_under_relabeling(self, bench_relabel):
+        # SHA-256 over the sides that the reduction replaces, on family
+        # members and stars and on 5 seeded relabelings of each.
+        members = [FAMILY[name]() for name in ("petersen", "b18_1", "b18_2", "b26_1", "j5")]
+        members += [flower_snark(7), flower_snark(13), goldberg_snark(5)]
+        sources = [(inst.graph, inst.designated_ppm) for inst in members]
+        sources += [(star_of(inst), PseudoMatching(())) for inst in members[:3] + members[4:5]]
+        rng = random.Random(2207)
+        h = hashlib.sha256()
+        for g, m in sources:
+            for copy in [g] + [bench_relabel(g, m, rng)[0] for _ in range(5)]:
+                sides = coloring._small_sides(copy.graph)
+                h.update(repr([sorted(side) for side in sides]).encode())
+        assert h.hexdigest() == "960347b130efd20591b3efa4af47a22938d048e5fc2e364c55ba12aab0a405cf"
+
     def test_family_members(self):
         for name, make in FAMILY.items():
             assert find_3_edge_coloring(make().graph) is None, name

@@ -90,6 +90,11 @@ class TestMultigraph:
         with pytest.raises(GraphError):
             parse_edge_list("2 3\n0 1\n")
 
+    @pytest.mark.parametrize("text, line", [("2 1\n0 x\n", "0 x"), ("a 1\n0 1\n", "a 1")])
+    def test_edge_list_non_integer_line_named(self, text, line):
+        with pytest.raises(GraphError, match=repr(line)):
+            parse_edge_list(text)
+
     def test_girth_is_the_shortest_brute_force_cycle(self, cubic_graphs_le8):
         rng = random.Random(2029)
         graphs = list(cubic_graphs_le8)

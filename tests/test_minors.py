@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -59,6 +60,16 @@ class TestPlanarity:
         # Each parallel mate adds a face, each loop adds a face:
         # v=3 e=6 -> f = 2 - 3 + 6 = 5.
         assert emb.face_count() == 5
+
+    @pytest.mark.parametrize("bad", [(7, 0), (0, 2)])
+    def test_bad_dart_rejected(self, bad):
+        # A triangle's rotation with the dart (0, 0) replaced: an edge id
+        # out of range, or an end other than 0 and 1.
+        emb = is_planar(Multigraph(3, [(0, 1), (1, 2), (2, 0)]))
+        for ring in emb.rotation.values():
+            ring[:] = [bad if d == (0, 0) else d for d in ring]
+        with pytest.raises(GraphError, match=re.escape(str(bad))):
+            emb.verify_euler()
 
     def test_disconnected(self):
         g = Multigraph(8, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 4)])
