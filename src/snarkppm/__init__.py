@@ -84,6 +84,7 @@ from .ppm import (
     parse_ppm,
     ppm_from_dominating_cycle,
     quotient,
+    quotient_skeleton,
     validate_ppm,
     write_ppm,
 )

@@ -10,7 +10,7 @@ from .coloring import check_snark_input, find_3_edge_coloring, is_snark
 from .connectivity import cyclic_cuts_up_to
 from .cycles import cdc_from_ccd, find_ccd, is_dominating, is_stable
 from .graph6 import parse_graph6
-from .minors import KMinorUndecidedError, planar
+from .minors import KMinorUndecidedError, planar_skeleton
 from .multigraph import CubicGraph, GraphError, girth
 from .ppm import (
     K5_MINOR_FREE_ONLY,
@@ -21,12 +21,13 @@ from .ppm import (
     complement_cycles,
     contract,
     enumerate_ppms,
-    quotient,
+    quotient_skeleton,
     validate_ppm,
     write_ppm,
 )
 
 _CLASS_RANK = {NEITHER: 0, K5_MINOR_FREE_ONLY: 1, PLANARIZING: 2}
+MODES = ("pm", "ppm", "both")
 
 TIMEOUT_ENV = "SNARKPPM_TIMEOUT_MS"
 
@@ -37,7 +38,7 @@ class CensusTimeout(Exception):
 
 class CensusConfigError(ValueError):
     """A census setting is malformed: the budget read from the environment,
-    or the worker count."""
+    the worker count, or the mode."""
 
 
 @dataclass
@@ -105,16 +106,27 @@ def _best_class(
     perfect_matchings_only: bool,
     deadline: float | None,
     start: tuple[str | None, PseudoMatching | None] = (None, None),
+    skip_perfect_matchings: bool = False,
 ) -> tuple[str | None, PseudoMatching | None]:
     """Best class over the PPM stream, raised from ``start``, and the first
-    PPM that reached it; stops at planarizing."""
+    PPM that reached it; stops at planarizing.
+
+    With ``skip_perfect_matchings`` the perfect matchings are passed over:
+    the PM pass has classified them all into ``start``, and only a class
+    strictly above the best so far replaces it, so none of them would.
+    """
     best, witness = start
+    # n = 2 * (K2 count) + 4 * (claw count): a PPM with n/2 components has
+    # no claw.
+    pm_size = g.n // 2 if skip_perfect_matchings else -1
     for m in enumerate_ppms(g, perfect_matchings_only=perfect_matchings_only):
+        if len(m.components) == pm_size:
+            continue
         if deadline is not None and time.monotonic() > deadline:
             raise CensusTimeout
         if best == K5_MINOR_FREE_ONLY:
             # Only a planarizing PPM can do better: skip the K5-minor test.
-            if not planar(quotient(g, m)[0]):
+            if not planar_skeleton(quotient_skeleton(g, m)):
                 continue
             cls = PLANARIZING
         else:
@@ -166,7 +178,7 @@ def census_graph(
             verdict.best_pm_class = best[0]
         if mode in ("ppm", "both"):
             if best[0] != PLANARIZING:
-                best = _best_class(g, False, deadline, best)
+                best = _best_class(g, False, deadline, best, mode == "both")
             verdict.best_ppm_class = best[0]
     except (CensusTimeout, KMinorUndecidedError):
         verdict.undecided = True
@@ -177,8 +189,10 @@ def census_graph(
 
 def run_census(text: str, mode: str = "both", workers: int = 1) -> CensusReport:
     """Census of the graph6 lines of text, on at most ``workers`` processes
-    and never more than one per graph; raises CensusConfigError if workers
-    is below 1."""
+    and never more than one per graph; raises CensusConfigError, before any
+    work, if mode is not one of ``MODES`` or workers is below 1."""
+    if mode not in MODES:
+        raise CensusConfigError(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
     if workers < 1:
         raise CensusConfigError(f"workers must be at least 1, got {workers}")
     timeout = _timeout_ms()

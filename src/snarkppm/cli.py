@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .census import CensusConfigError, analyze, run_census, write_details
+from .census import MODES, CensusConfigError, analyze, run_census, write_details
 from .cycles import CycleSet, find_ccd, cdc_from_ccd
 from .constructions import star_construction
 from .graph6 import Graph6Error, parse_graph6, write_graph6
@@ -36,7 +36,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_cs = sub.add_parser("census", help="Table-style census over a graph6 list")
     p_cs.add_argument("--input", required=True)
-    p_cs.add_argument("--mode", choices=["pm", "ppm", "both"], default="both")
+    p_cs.add_argument("--mode", choices=MODES, default="both")
     p_cs.add_argument("--workers", type=int, default=1)
     p_cs.add_argument("--out", help="write the TSV report here (default stdout)")
     p_cs.add_argument("--details", help="directory for per-order detail files")
@@ -122,9 +122,10 @@ def _census(args) -> int:
     else:
         print(tsv, end="")
     if report.non_snarks:
+        more = "..." if len(report.non_snarks) > 10 else ""
         print(
             f"note: {len(report.non_snarks)} input graphs fail the snark test"
-            f" (lines {report.non_snarks[:10]}...)",
+            f" (lines {report.non_snarks[:10]}{more})",
             file=sys.stderr,
         )
     if report.min_girth is not None:

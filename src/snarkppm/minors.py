@@ -11,8 +11,8 @@ It runs in one of two modes:
   and loops back into the rotation, and checks the result against Euler's
   formula. The drawing code calls it for the rotations it draws on.
 - without it, it returns only the verdict. ``planar_skeleton`` (behind
-  ``planar`` and the drawing search's greedy) and each node of the K5-minor
-  search use this mode.
+  ``planar``, ``classify_ppm``, the census and the drawing search's greedy)
+  and each node of the K5-minor search use this mode.
 
 Both verdicts start from the skeleton's neighbour bitmasks and one settle
 step (``_settle``): delete vertices of degree at most 1, suppress those of
@@ -27,9 +27,11 @@ it answers planar graphs (the verdict per component), splits at cut
 vertices, and otherwise branches on edge contractions, remembering the
 reduced graphs already refuted. Dive steps and search nodes share one
 budget; running out raises ``KMinorUndecidedError`` instead of ever
-returning a silent false. ``classify_ppm`` asks the search before
-``planar``, so a quotient that the dive settles is never tested for
-planarity at all.
+returning a silent false. The search takes a ``Multigraph`` or a
+skeleton: ``classify_ppm`` hands it the quotient's skeleton from
+``ppm.quotient_skeleton``, with no ``Multigraph`` built, and asks
+``planar_skeleton`` only when it finds no K5 minor, so a quotient that the
+dive settles is never tested for planarity at all.
 """
 
 from __future__ import annotations
@@ -353,12 +355,17 @@ def _lr_planarity(adj: list[list[int]], embed: bool) -> list[list[int]] | None:
 DEFAULT_K5_BUDGET = 20_000_000
 
 
-def has_k5_minor(g: Multigraph, node_budget: int = DEFAULT_K5_BUDGET) -> bool:
+def has_k5_minor(
+    g: Multigraph | dict[int, int], node_budget: int = DEFAULT_K5_BUDGET
+) -> bool:
     """True iff g has K5 as a minor.
 
-    Works on the simple skeleton, which holds a K5 minor iff some sequence
-    of contractions yields K5 as a subgraph. First a dive follows the
-    search's first contraction from the root: settle the node by
+    g is a ``Multigraph`` or its simple skeleton as neighbour bitmasks
+    (vertex -> mask, in ascending vertex order, as ``_skeleton`` and
+    ``ppm.quotient_skeleton`` build it); a skeleton is read, never
+    changed. The search works on the skeleton, which holds a K5 minor iff
+    some sequence of contractions yields K5 as a subgraph. First a dive
+    follows the search's first contraction from the root: settle the node by
     ``_settle`` (reduce, then fewer than 5 vertices or Mader's bound) and
     contract its first edge by ``_edges_by_overlap``, which
     ``_least_overlap`` finds in one pass, with no planarity test. Mader's
@@ -372,7 +379,7 @@ def has_k5_minor(g: Multigraph, node_budget: int = DEFAULT_K5_BUDGET) -> bool:
     dive step and every search node counts against ``node_budget``;
     running out raises ``KMinorUndecidedError``.
     """
-    adj = _skeleton(g)
+    adj = _skeleton(g) if isinstance(g, Multigraph) else g
     budget = [node_budget]
     refuted: set[tuple[tuple[int, int], ...]] = set()
 
@@ -424,7 +431,7 @@ def has_k5_minor(g: Multigraph, node_budget: int = DEFAULT_K5_BUDGET) -> bool:
         return found
 
     try:
-        return search(adj)
+        return search(dict(adj))  # settled in place, so a copy
     finally:
         del search  # the closure refers to itself: free it without the GC
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .minors import has_k5_minor, planar
+from .minors import has_k5_minor, planar_skeleton
 from .multigraph import (
     CubicGraph,
     Cycle,
@@ -263,15 +263,13 @@ class ContractedGraph:
     edge_origin: tuple[int, ...]  # quotient edge -> original edge
 
 
-def quotient(
-    g: CubicGraph, m: PseudoMatching
-) -> tuple[Multigraph, tuple[int, ...], tuple[int, ...]]:
-    """The quotient of g by the PPM components, with ``component_of``
-    (original vertex -> quotient vertex) and ``edge_origin`` (quotient edge
-    -> original edge).
+def _numbering(g: CubicGraph, m: PseudoMatching) -> tuple[list[int], int]:
+    """``component_of`` (original vertex -> quotient vertex, numbered by
+    least original vertex) and the quotient's vertex count.
 
-    Raises GraphError unless m is a valid PPM of a connected g and every
-    quotient vertex has degree 4 or 6.
+    Raises GraphError unless m is a valid PPM of a connected g. Every
+    quotient vertex then has degree 4 or 6, as g is cubic: a K2's two ends
+    keep two edges each, a claw's three leaves two each and its center none.
     """
     bad = validate_ppm(g, m)
     if bad is not None:
@@ -279,33 +277,55 @@ def quotient(
     mg = g.graph
     if not mg.is_connected():
         raise GraphError("contraction requires a connected graph")
-
     comp_verts = m.component_vertices(mg)
-    order = sorted(range(len(comp_verts)), key=lambda i: min(comp_verts[i]))
+    comp_verts.sort(key=min)
     component_of = [-1] * mg.n
-    for q, ci in enumerate(order):
-        for v in comp_verts[ci]:
+    for q, verts in enumerate(comp_verts):
+        for v in verts:
             component_of[v] = q
+    return component_of, len(comp_verts)
 
-    in_m = m.edge_set(mg)
+
+def quotient(
+    g: CubicGraph, m: PseudoMatching
+) -> tuple[Multigraph, tuple[int, ...], tuple[int, ...]]:
+    """The quotient of g by the PPM components, with ``component_of``
+    (original vertex -> quotient vertex) and ``edge_origin`` (quotient edge
+    -> original edge).
+
+    Raises GraphError unless m is a valid PPM of a connected g.
+    """
+    component_of, k = _numbering(g, m)
+    in_m = m.edge_set(g.graph)
     q_edges = []
     edge_origin = []
-    degree = [0] * len(comp_verts)
-    for e, (a, b) in enumerate(mg.edges):
-        if e in in_m:
-            continue
-        qa, qb = component_of[a], component_of[b]
-        # qa == qb gives a quotient loop, which counts 2; it happens whenever
-        # a complement edge joins two vertices of one component (e.g. two
-        # claw leaves).
-        q_edges.append((qa, qb))
-        edge_origin.append(e)
-        degree[qa] += 1
-        degree[qb] += 1
-    for v, deg in enumerate(degree):
-        if deg not in (4, 6):
-            raise GraphError(f"quotient vertex {v} has degree {deg}")
-    return Multigraph(len(comp_verts), q_edges), tuple(component_of), tuple(edge_origin)
+    for e, (a, b) in enumerate(g.graph.edges):
+        if e not in in_m:
+            # A complement edge that joins two vertices of one component
+            # (e.g. two claw leaves) gives a quotient loop.
+            q_edges.append((component_of[a], component_of[b]))
+            edge_origin.append(e)
+    return Multigraph(k, q_edges), tuple(component_of), tuple(edge_origin)
+
+
+def quotient_skeleton(g: CubicGraph, m: PseudoMatching) -> dict[int, int]:
+    """The simple skeleton of ``quotient(g, m)[0]`` as neighbour bitmasks
+    (quotient vertex -> mask, in ascending vertex order, in ``quotient``'s
+    numbering), with no ``Multigraph`` and no edge list.
+
+    Validates m as ``quotient`` does, with the same GraphError. Every edge
+    of m lies inside one component, so the skeleton's edges are the edges
+    of g whose ends lie in two different components.
+    """
+    component_of, k = _numbering(g, m)
+    adj = dict.fromkeys(range(k), 0)
+    for a, b in g.graph.edges:
+        qa = component_of[a]
+        qb = component_of[b]
+        if qa != qb:
+            adj[qa] |= 1 << qb
+            adj[qb] |= 1 << qa
+    return adj
 
 
 def contract(g: CubicGraph, m: PseudoMatching) -> ContractedGraph:
@@ -348,14 +368,16 @@ NEITHER = "neither"
 def classify_ppm(g: CubicGraph, m: PseudoMatching) -> str:
     """planarizing | k5_minor_free_only | neither, judged on the quotient.
 
-    Reads the quotient graph alone, so it builds no transition system. A
-    K5 minor settles it (nonplanar): usually by the search's dive, with no
-    planarity test. Only a K5-minor-free quotient is asked ``planar``.
+    Reads only the quotient's skeleton, ``quotient_skeleton(g, m)``, so it
+    builds neither a ``Multigraph`` nor a transition system. A K5 minor
+    settles it (nonplanar): usually by the search's dive, with no
+    planarity test. Only a K5-minor-free skeleton is asked
+    ``planar_skeleton``.
     """
-    q = quotient(g, m)[0]
+    q = quotient_skeleton(g, m)
     if has_k5_minor(q):
         return NEITHER
-    return PLANARIZING if planar(q) else K5_MINOR_FREE_ONLY
+    return PLANARIZING if planar_skeleton(q) else K5_MINOR_FREE_ONLY
 
 
 def ppm_from_dominating_cycle(g: CubicGraph, c: Cycle) -> PseudoMatching:

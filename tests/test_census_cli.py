@@ -11,7 +11,9 @@ import time
 import pytest
 
 import named
-from snarkppm import blanusa_snark, census, parse_graph6, petersen, ppm, write_graph6
+from snarkppm import (
+    blanusa_snark, census, flower_snark, parse_graph6, petersen, ppm, write_graph6,
+)
 from snarkppm.census import analyze, run_census, write_details
 from snarkppm.cli import main
 from snarkppm.minors import KMinorUndecidedError
@@ -128,9 +130,53 @@ class TestCensus:
             assert validate_ppm(g, verdict.witness) is None
             assert classify_ppm(g, verdict.witness) == verdict.best_ppm_class
 
+    @pytest.mark.parametrize("mode", ["PM", "", "all"])
+    def test_unknown_mode_refused_before_any_work(self, petersen_g6, monkeypatch, mode):
+        monkeypatch.setattr(census, "census_graph", _not_called)
+        with pytest.raises(census.CensusConfigError, match="mode must be one of"):
+            run_census(petersen_g6 + "\n", mode=mode)
+
+    def test_ppm_pass_skips_perfect_matchings(self, monkeypatch):
+        # In mode "both" the PM pass has classified every PM before the PPM
+        # pass runs, so the PPM pass classifies only PPMs with a claw.
+        pm_pass = [None]
+        calls = []
+        enumerate_ppms, classify_ppm = census.enumerate_ppms, census.classify_ppm
+
+        def enumerated(g, perfect_matchings_only=False):
+            pm_pass[0] = perfect_matchings_only
+            return enumerate_ppms(g, perfect_matchings_only=perfect_matchings_only)
+
+        def classified(g, m):
+            calls.append((pm_pass[0], m.is_perfect_matching()))
+            return classify_ppm(g, m)
+
+        monkeypatch.setattr(census, "enumerate_ppms", enumerated)
+        monkeypatch.setattr(census, "classify_ppm", classified)
+        for inst in (petersen(), blanusa_snark(2, 2), flower_snark(5)):
+            report = run_census(write_graph6(inst.graph.graph) + "\n", mode="both")
+            assert report.verdicts[0].best_ppm_class == ppm.PLANARIZING
+        assert (False, True) not in calls
+        assert (True, True) in calls and (False, False) in calls
+
+    @pytest.mark.parametrize("mode", census.MODES)
+    def test_census_builds_no_quotient(self, monkeypatch, mode):
+        # The census classifies from quotient skeletons alone.
+        monkeypatch.setattr(ppm, "quotient", _not_called)
+        rows = {"pm": "18\t2\t1\t0\t1\t0", "ppm": "18\t2\t0\t0\t0\t0",
+                "both": "18\t2\t1\t0\t1\t0"}
+        lines = [write_graph6(blanusa_snark(2, j).graph.graph) for j in (1, 2)]
+        report = run_census("\n".join(lines) + "\n", mode=mode)
+        assert report.complete
+        assert report.to_tsv().splitlines()[1] == rows[mode]
+
 
 def _raise_undecided(*args, **kwargs):
     raise KMinorUndecidedError("forced by the test")
+
+
+def _not_called(*args, **kwargs):
+    raise AssertionError("must not be called")
 
 
 class TestAnalyze:
@@ -280,6 +326,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("undecided: forced by the test")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("count, listed", [(2, "[1, 2])"), (10, "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10])"),
+                                               (11, "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]...)")])
+    def test_census_notes_non_snarks(self, tmp_path, capsys, count, listed):
+        # "..." only when the list shown leaves some failed lines out.
+        src = tmp_path / "list.g6"
+        src.write_text((write_graph6(named.k4()) + "\n") * count)
+        assert main(["census", "--input", str(src)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"note: {count} input graphs fail the snark test (lines {listed}"
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_code(self, tmp_path, capsys, petersen_g6, workers):

@@ -325,13 +325,13 @@ class TestClassify:
         assert (neither, tested) == (178, 4)
 
     def test_classifies_the_quotient_that_contract_builds(self, monkeypatch):
-        # classify_ppm builds the quotient without transitions; the graph
-        # it asks about is contract's, vertex for vertex and edge for edge.
+        # classify_ppm builds only the quotient's skeleton; the graph it
+        # asks about is the skeleton of contract's, vertex for vertex.
         asked = []
         search = ppm.has_k5_minor
 
         def recorded(q):
-            asked.append(q)
+            asked.append(dict(q))
             return search(q)
 
         monkeypatch.setattr(ppm, "has_k5_minor", recorded)
@@ -340,10 +340,87 @@ class TestClassify:
             g = inst.graph
             for m in enumerate_ppms(g):
                 classify_ppm(g, m)
-                q = contract(g, m).graph
-                assert (asked[-1].n, asked[-1].edges) == (q.n, q.edges)
+                skeleton = minors._skeleton(contract(g, m).graph)
+                assert list(asked[-1].items()) == list(skeleton.items())
                 count += 1
         assert len(asked) == count == 26 + 422
+
+
+def _named_snarks():
+    return (petersen(), blanusa_snark(2, 1), blanusa_snark(2, 2), flower_snark(5),
+            flower_snark(7))
+
+
+# SHA-256 over the class of every PPM of _named_snarks(), one "class\n" per
+# PPM in enumeration order; taken when classify_ppm still read the quotient
+# Multigraph.
+CLASS_SEQUENCE_DIGEST = "f6a1c27090434ed1bed09cd73b2df8689e3e020151886241432123e83000e492"
+
+
+@pytest.fixture(scope="module")
+def skeleton_inputs(cubic_graphs_le8, bench_relabel):
+    """(g, m) for every PPM of the cubic corpus and of _named_snarks(), and
+    of 5 benchmark relabelings of each graph."""
+    rng = random.Random(2300)
+    graphs = [(CubicGraph(g), next(enumerate_ppms(CubicGraph(g)))) for g in cubic_graphs_le8]
+    graphs += [(inst.graph, inst.designated_ppm) for inst in _named_snarks()]
+    out = []
+    for g, m in graphs:
+        for h, _ in [(g, m)] + [bench_relabel(g, m, rng) for _ in range(5)]:
+            out.extend((h, pm) for pm in enumerate_ppms(h))
+    return out
+
+
+class TestQuotientSkeleton:
+    def test_is_the_skeleton_of_the_quotient(self, skeleton_inputs):
+        for g, m in skeleton_inputs:
+            want = minors._skeleton(ppm.quotient(g, m)[0])
+            assert list(ppm.quotient_skeleton(g, m).items()) == list(want.items())
+        assert len(skeleton_inputs) > 6 * 3786
+
+    def test_k5_verdict_same_and_skeleton_unchanged(self, skeleton_inputs):
+        for g, m in skeleton_inputs:
+            q = ppm.quotient_skeleton(g, m)
+            before = list(q.items())
+            assert has_k5_minor(q) == has_k5_minor(ppm.quotient(g, m)[0])
+            assert list(q.items()) == before
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda g: PseudoMatching(petersen().designated_ppm.components[:-1]),
+             "invalid PPM: uncovered vertex"),
+            (lambda g: PseudoMatching((K2Component(g.edge_between(2, 7)),
+                                       K2Component(g.edge_between(2, 3)))),
+             "invalid PPM: vertex 2 in two components"),
+            (lambda g: PseudoMatching((K2Component(99),)),
+             "component 0: edge index 99 out of range"),
+        ],
+    )
+    def test_invalid_ppm_raises_as_quotient_does(self, make, message):
+        g = petersen().graph
+        m = make(g.graph)
+        with pytest.raises(GraphError) as by_quotient:
+            ppm.quotient(g, m)
+        with pytest.raises(GraphError) as by_skeleton:
+            ppm.quotient_skeleton(g, m)
+        assert str(by_skeleton.value) == str(by_quotient.value)
+        assert str(by_skeleton.value).startswith(message)
+
+    def test_disconnected_graph_raises_as_quotient_does(self):
+        k4 = named.k4()
+        two = CubicGraph(Multigraph(8, list(k4.edges) + [(a + 4, b + 4) for a, b in k4.edges]))
+        m = next(enumerate_ppms(two))
+        for build in (ppm.quotient, ppm.quotient_skeleton):
+            with pytest.raises(GraphError, match="^contraction requires a connected graph$"):
+                build(two, m)
+
+    def test_class_sequence_pinned(self):
+        h = hashlib.sha256()
+        for inst in _named_snarks():
+            for m in enumerate_ppms(inst.graph):
+                h.update(classify_ppm(inst.graph, m).encode() + b"\n")
+        assert h.hexdigest() == CLASS_SEQUENCE_DIGEST
 
 
 class TestDominatingComplement:
