@@ -100,16 +100,22 @@ def find_dominating_cycles(
 ) -> Iterator[Cycle]:
     """All dominating cycles (exhaustive unless limit is set), deterministic.
 
-    Cycles come out grouped by their least vertex, each one exactly once.
+    Cycles come out grouped by their least vertex, each one exactly once;
+    at most ``limit`` of them, so ``limit=0`` yields none. A negative limit
+    raises GraphError before the search starts.
     """
+    if limit is not None and limit < 0:
+        raise GraphError(f"limit must be non-negative, got {limit}")
     if not g.graph.is_connected():
         raise GraphError("dominating-cycle search needs a connected graph")
+    if limit == 0:
+        return
     found = 0
     for c in _all_cycles(g.graph):
         if is_dominating(g, set(c.vertices)):
             yield c
             found += 1
-            if limit is not None and found >= limit:
+            if found == limit:
                 return
 
 
@@ -312,8 +318,8 @@ def _lift_cycle(
         q = cyc.vertices[i]
         o_in = cg.edge_origin[cyc.edges[i - 1]]
         o_out = cg.edge_origin[cyc.edges[i]]
-        w_in = _endpoint_in(mg, o_in, cg, q, prefer_not=None)
-        w_out = _endpoint_in(mg, o_out, cg, q, prefer_not=w_in)
+        w_in = _endpoint_in(mg, o_in, cg, q)
+        w_out = _endpoint_in(mg, o_out, cg, q)
         if w_in == w_out:
             raise GraphError("lift hit a transition pair; compatibility broken")
         comp = comps[q]
@@ -329,16 +335,17 @@ def _lift_cycle(
     return lift
 
 
-def _endpoint_in(
-    mg: Multigraph, edge: int, cg: ContractedGraph, q: int, prefer_not: int | None
-) -> int:
+def _endpoint_in(mg: Multigraph, edge: int, cg: ContractedGraph, q: int) -> int:
+    """The end of a graph edge in component q. The edge lies on a CCD cycle
+    of length at least 2, which is vertex-simple (``cdc_from_ccd`` checks
+    that first), so it is no quotient loop: exactly one of its ends is in
+    q. Loops, the length-1 cycles, are lifted apart by ``_lift_cycle``."""
     a, b = mg.edges[edge]
-    hits = [v for v in (a, b) if cg.component_of[v] == q]
-    if not hits:
-        raise GraphError(f"edge {edge} has no endpoint in component {q}")
-    if len(hits) == 2 and prefer_not is not None and hits[0] == prefer_not:
-        return hits[1]
-    return hits[0]
+    if cg.component_of[a] == q:
+        return a
+    if cg.component_of[b] == q:
+        return b
+    raise GraphError(f"edge {edge} has no endpoint in component {q}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .embedding import Dart, PlanarEmbedding, face_successor, trace_faces
 from .minors import is_planar, planar_skeleton
@@ -122,7 +121,8 @@ class _Planarizer:
 
     Each edge is owned by the id of the edge of G it draws, or by None for
     a patch boundary; subdividing keeps the owner. Faces and the planarity
-    check come from ``embedding``.
+    check come from ``embedding``. It only makes the edits it is asked
+    for: where an edge may go is decided by ``_Router``.
     """
 
     def __init__(self) -> None:
@@ -183,88 +183,6 @@ class _Planarizer:
             ring = self.rot[self.tail(d)]
             ring.insert(ring.index(d), end)
         return e
-
-    def _find_route(
-        self, u: int, v: int, can_cross: Callable[[int | None], bool]
-    ) -> tuple[Dart, list[Dart]]:
-        """Shortest face path from u to v; returns (start dart, crossed darts).
-
-        A crossed dart lies on the face being left; distinct owners only.
-        An empty dart list means u and v already share a face.
-        """
-        if not self.rot[u] or not self.rot[v]:
-            raise GraphError("route endpoints must already carry an edge")
-        walks, face_of = trace_faces(self.edges, self.rot)
-        sources: dict[int, Dart] = {}
-        for da in self.rot[u]:
-            sources.setdefault(face_of[da], da)
-        targets = {face_of[d] for d in self.rot[v]}
-        hit = set(sources) & targets
-        if hit:
-            return sources[min(hit)], []
-        prev: dict[int, tuple[int, Dart]] = {}
-        seen = set(sources)
-        queue = deque(sorted(sources))
-        found = None
-        while queue and found is None:
-            f = queue.popleft()
-            for dart in walks[f]:
-                e = dart[0]
-                if not can_cross(self.owner[e]):
-                    continue
-                g = face_of[(e, 1 - dart[1])]
-                if g in seen:
-                    continue
-                seen.add(g)
-                prev[g] = (f, dart)
-                if g in targets:
-                    found = g
-                    break
-                queue.append(g)
-        if found is None:
-            raise GraphError("no face route between endpoints")
-        path: list[Dart] = []
-        cur = found
-        while cur not in sources:
-            f, dart = prev[cur]
-            path.append(dart)
-            cur = f
-        path.reverse()
-        owners = [self.owner[d[0]] for d in path]
-        if len(set(owners)) != len(owners):
-            return self._route_dedup(walks, face_of, sources, targets, can_cross,
-                                     len(path) + 4)
-        return sources[cur], path
-
-    def _route_dedup(self, walks, face_of, sources, targets, can_cross, cap):
-        """Depth-limited search keeping crossed owners distinct on the path."""
-        out: list[tuple[Dart, list[Dart]]] = []
-
-        def dfs(f: int, owners: frozenset, path: list[Dart]) -> bool:
-            if f in targets and path:
-                return True
-            if len(path) >= cap:
-                return False
-            for dart in walks[f]:
-                e = dart[0]
-                own = self.owner[e]
-                if own in owners or not can_cross(own):
-                    continue
-                g = face_of[(e, 1 - dart[1])]
-                path.append(dart)
-                if dfs(g, owners | {own}, path):
-                    return True
-                path.pop()
-            return False
-
-        for f, da in sorted(sources.items()):
-            path: list[Dart] = []
-            if dfs(f, frozenset(), path):
-                out.append((da, path))
-                break
-        if not out:
-            raise GraphError("no owner-distinct face route between endpoints")
-        return out[0]
 
     # -- extraction ----------------------------------------------------------
 
@@ -546,10 +464,12 @@ def _planar_subgraph(
 class _Router:
     """Inserts edges of G into a planarizer and records the crossings made.
 
-    The one crossing rule: a segment may be crossed only if it draws an
-    edge of G (not a patch boundary) that is off the PPM, is not adjacent
-    to the routed edge (an edge is adjacent to itself), and has not crossed
-    it before. ``crossed`` may be shared between routers.
+    It alone decides where an edge may go, by the one crossing rule of
+    ``_face_path``: a segment may be crossed only if it draws an edge of G
+    (not a patch boundary) that is off the PPM, is not adjacent to the
+    routed edge (an edge is adjacent to itself), has not crossed it before,
+    and is not crossed earlier on the same route. So a route crosses each
+    edge of G at most once. ``crossed`` may be shared between routers.
     """
 
     mg: Multigraph
@@ -558,20 +478,61 @@ class _Router:
     crossings: list[tuple[int, int]] = field(default_factory=list)  # in order
     dummies: list[int] = field(default_factory=list)  # one per crossing
 
-    def route(self, pl: _Planarizer, orig: int, a: int, b: int) -> None:
-        """Draw edge orig of G from planarizer vertex a to b along a shortest
-        face path, one dummy per crossed segment."""
+    def _face_path(
+        self, pl: _Planarizer, orig: int, u: int, v: int
+    ) -> tuple[Dart, list[Dart]]:
+        """Shortest face path of pl from u to v for edge orig of G under the
+        crossing rule; returns (start dart, crossed darts).
+
+        A breadth-first search over faces, where each face reached keeps the
+        owners crossed on its way there. A crossed dart lies on the face
+        being left. An empty dart list means u and v already share a face.
+        """
+        if not pl.rot[u] or not pl.rot[v]:
+            raise GraphError("route endpoints must already carry an edge")
+        walks, face_of = trace_faces(pl.edges, pl.rot)
+        sources: dict[int, Dart] = {}
+        for da in pl.rot[u]:
+            sources.setdefault(face_of[da], da)
+        targets = {face_of[d] for d in pl.rot[v]}
+        hit = set(sources) & targets
+        if hit:
+            return sources[min(hit)], []
         ends = set(self.mg.edges[orig])
+        owners: dict[int, frozenset[int]] = dict.fromkeys(sources, frozenset())
+        prev: dict[int, tuple[int, Dart]] = {}
+        queue = deque(sorted(sources))
+        while queue:
+            f = queue.popleft()
+            for dart in walks[f]:
+                e = dart[0]
+                other = pl.owner[e]
+                if (
+                    other is None
+                    or other in owners[f]
+                    or other in self.m_edges
+                    or ends & set(self.mg.edges[other])
+                    or frozenset({orig, other}) in self.crossed
+                ):
+                    continue
+                g = face_of[(e, 1 - dart[1])]
+                if g in owners:
+                    continue
+                owners[g] = owners[f] | {other}
+                prev[g] = (f, dart)
+                if g in targets:
+                    path: list[Dart] = []
+                    while g in prev:
+                        g, dart = prev[g]
+                        path.append(dart)
+                    return sources[g], path[::-1]
+                queue.append(g)
+        raise GraphError("no face route between endpoints")
 
-        def can_cross(other: int | None) -> bool:
-            return (
-                other is not None
-                and other not in self.m_edges
-                and not ends & set(self.mg.edges[other])
-                and frozenset({orig, other}) not in self.crossed
-            )
-
-        cur_dart, path = pl._find_route(a, b, can_cross)
+    def route(self, pl: _Planarizer, orig: int, a: int, b: int) -> None:
+        """Draw edge orig of G from planarizer vertex a to b along
+        ``_face_path``, one dummy per crossed segment."""
+        cur_dart, path = self._face_path(pl, orig, a, b)
         for e, s in path:
             other = pl.owner[e]
             dummy = pl.subdivide(e)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,7 +13,8 @@ import pytest
 
 import named
 from snarkppm import (
-    blanusa_snark, census, flower_snark, parse_graph6, petersen, ppm, write_graph6,
+    CubicGraph, Multigraph, blanusa_snark, census, classify_ppm, enumerate_ppms,
+    flower_snark, parse_graph6, parse_ppm, petersen, ppm, validate_ppm, write_graph6,
 )
 from snarkppm.census import analyze, run_census, write_details
 from snarkppm.cli import main
@@ -55,7 +57,7 @@ class TestCensus:
 
     def test_short_circuit_equals_exhaustive(self, petersen_g6):
         # Re-verify the counted class by independent exhaustive classification.
-        from snarkppm import CubicGraph, classify_ppm, enumerate_ppms, PLANARIZING
+        from snarkppm import PLANARIZING
 
         g = CubicGraph(parse_graph6(petersen_g6), require_simple=True)
         best = None
@@ -119,8 +121,6 @@ class TestCensus:
 
     def test_order_18_row_from_blanusa_snarks(self):
         # The two Blanusa snarks are the only snarks on 18 vertices.
-        from snarkppm import CubicGraph, classify_ppm, validate_ppm
-
         lines = [write_graph6(blanusa_snark(2, j).graph.graph) for j in (1, 2)]
         report = run_census("\n".join(lines) + "\n", mode="both")
         assert report.complete
@@ -170,6 +170,39 @@ class TestCensus:
         assert report.complete
         assert report.to_tsv().splitlines()[1] == rows[mode]
 
+    def test_k5_minor_free_only_best_asks_only_planarity(self, monkeypatch):
+        # Once the best class is k5_minor_free_only, only planarizing can
+        # beat it, so each later PPM takes one planarity verdict and no K5
+        # search. The answer and its witness equal a full scan's, on simple
+        # connected cubic graphs from the configuration model.
+        rng = random.Random(1)
+        graphs = []
+        while len(graphs) < 300:
+            n = rng.choice((12, 14, 16))
+            stubs = [v for v in range(n) for _ in range(3)]
+            rng.shuffle(stubs)
+            mg = Multigraph(n, zip(stubs[::2], stubs[1::2]))
+            if mg.is_simple() and mg.is_connected():
+                graphs.append(CubicGraph(mg))
+        rank = {None: -1, ppm.NEITHER: 0, ppm.K5_MINOR_FREE_ONLY: 1, ppm.PLANARIZING: 2}
+        skeleton_only = [0]
+        planar_skeleton = census.planar_skeleton
+
+        def counted(adj):
+            skeleton_only[0] += 1
+            return planar_skeleton(adj)
+
+        monkeypatch.setattr(census, "planar_skeleton", counted)
+        for g in graphs:
+            for pm_only in (True, False):
+                best = witness = None
+                for m in enumerate_ppms(g, perfect_matchings_only=pm_only):
+                    cls = classify_ppm(g, m)
+                    if rank[cls] > rank[best]:
+                        best, witness = cls, m
+                assert census._best_class(g, pm_only, None) == (best, witness)
+        assert skeleton_only[0] >= 10
+
 
 def _raise_undecided(*args, **kwargs):
     raise KMinorUndecidedError("forced by the test")
@@ -189,21 +222,17 @@ class TestAnalyze:
         assert "CDC verified (5 cycles)" in text
 
     def test_petersen_with_pm(self):
-        from snarkppm import enumerate_ppms
-
         inst = petersen()
         pm = next(enumerate_ppms(inst.graph, perfect_matchings_only=True))
         text = analyze(inst.graph, pm)
         assert "classification: neither" in text
 
     def test_graph_only(self):
-        from snarkppm import CubicGraph
-
         text = analyze(CubicGraph(named.cube()))
         assert "snark: no" in text
 
     def test_connectivity_line(self):
-        from snarkppm import CubicGraph, cyclic_cuts_up_to, flower_snark, goldberg_snark
+        from snarkppm import cyclic_cuts_up_to, goldberg_snark
 
         g5 = goldberg_snark(5).graph
         assert len(list(cyclic_cuts_up_to(g5.graph, 5))) == 16
@@ -237,6 +266,41 @@ class TestCli:
         assert main(["analyze", "--graph", prefix + ".g6", "--ppm", prefix + ".ppm"]) == 0
         out = capsys.readouterr().out
         assert "planarizing" in out
+
+    def test_analyze_invalid_ppm_is_reported(self, tmp_path, capsys):
+        # A PPM that parses but is no PPM is a finding of the report, not
+        # an input error.
+        prefix = str(tmp_path / "pet")
+        main(["gen", "--family", "petersen", "--out", prefix])
+        capsys.readouterr()
+        bad = tmp_path / "bad.ppm"
+        bad.write_text("K2 0 1\nK2 0 4\n")
+        assert main(["analyze", "--graph", prefix + ".g6", "--ppm", str(bad)]) == 0
+        out = capsys.readouterr().out
+        assert "pseudo-matching INVALID: vertex 0 in two components\n" in out
+
+    def test_census_details_subcommand(self, tmp_path, capsys, petersen_g6):
+        b18 = write_graph6(blanusa_snark(2, 1).graph.graph)
+        src = tmp_path / "list.g6"
+        src.write_text(petersen_g6 + "\n" + b18 + "\n")
+        details = tmp_path / "details"
+        code = main(
+            ["census", "--input", str(src), "--mode", "both", "--details", str(details)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        lines = {10: petersen_g6, 18: b18}
+        for n, line in lines.items():
+            tsv = (details / f"order{n}.tsv").read_text()
+            assert tsv == f"{line}\t{ppm.PLANARIZING}\n"
+        ppm_files = sorted(p.name for p in details.glob("order*_graph*.ppm"))
+        assert len(ppm_files) == 2, ppm_files
+        for name in ppm_files:
+            line = lines[int(name[len("order"):name.index("_")])]
+            g = CubicGraph(parse_graph6(line), require_simple=True)
+            m = parse_ppm(g.graph, (details / name).read_text())
+            assert validate_ppm(g, m) is None
+            assert classify_ppm(g, m) == ppm.PLANARIZING
 
     def test_census_subcommand(self, tmp_path, capsys, petersen_g6):
         src = tmp_path / "list.g6"

@@ -71,6 +71,16 @@ class TestDominating:
         g = petersen().graph
         assert len(list(find_dominating_cycles(g, limit=3))) == 3
 
+    def test_limit_zero_yields_nothing(self):
+        assert list(find_dominating_cycles(petersen().graph, limit=0)) == []
+
+    def test_negative_limit_refused_first(self):
+        # Two disjoint thetas: the limit is refused before connectivity is
+        # even looked at.
+        g = CubicGraph(Multigraph(4, [(0, 1)] * 3 + [(2, 3)] * 3))
+        with pytest.raises(GraphError, match="limit must be non-negative"):
+            next(find_dominating_cycles(g, limit=-3))
+
     def test_every_reported_cycle_is_dominating_and_unique(self):
         g = CubicGraph(named.prism())
         seen = set()
@@ -110,7 +120,7 @@ class TestStable:
         tri = cycle_from_vertices(g.graph, [0, 1, 2])
         assert not is_stable(g, tri)
 
-    def test_hamiltonian_cycle_of_k4_is_stable(self):
+    def test_hamiltonian_cycle_of_k4_is_not_stable(self):
         g = CubicGraph(named.k4())
         ham = cycle_from_vertices(g.graph, [0, 1, 2, 3])
         # V(C) = V(G); K4 has three hamiltonian cycles, so another cycle
@@ -124,7 +134,7 @@ class TestStable:
         c0 = cycle_from_vertices(g.graph, C0)
         assert is_stable(g, c0) is False
 
-    def test_unique_spanning_cycle_is_stable(self):
+    def test_digon_of_theta_is_not_stable(self):
         # The theta-like cubic multigraph on 2 vertices has digon cycles only.
         g = CubicGraph(Multigraph(2, [(0, 1)] * 3))
         digon = Cycle((0, 1), (0, 1))

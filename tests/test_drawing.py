@@ -31,6 +31,7 @@ import snarkppm.drawing
 from snarkppm.drawing import (
     _DrawingSearch,
     _PlanarityMemo,
+    _Router,
     _planar_subgraph,
     _search_orders,
 )
@@ -143,6 +144,35 @@ class TestDrawMAvoiding:
         d = draw_m_avoiding(CubicGraph(Multigraph(0, [])), PseudoMatching(()))
         validate_drawing(d)
         assert d.crossings == ()
+
+    def test_route_crosses_each_edge_at_most_once(self, monkeypatch, bench_relabel):
+        # Every face path crosses pairwise distinct edges of G, on the G5
+        # copies of test_goldberg_crossings_do_not_rise and the star inputs
+        # of test_crossing_counts_pinned.
+        face_path = _Router._face_path
+        routes = []
+
+        def recorded(self, pl, orig, u, v):
+            start, path = face_path(self, pl, orig, u, v)
+            routes.append([pl.owner[e] for e, _s in path])
+            return start, path
+
+        monkeypatch.setattr(_Router, "_face_path", recorded)
+        cases = []
+        g5 = goldberg_snark(5)
+        rng = random.Random(4242)
+        cases += [bench_relabel(g5.graph, g5.designated_ppm, rng) for _ in range(30)]
+        for inst in (petersen(), blanusa_snark(2, 1), blanusa_snark(2, 2)):
+            rng = random.Random(1010)
+            cases.append((inst.graph, inst.designated_ppm))
+            cases += [
+                bench_relabel(inst.graph, inst.designated_ppm, rng) for _ in range(25)
+            ]
+        for g, m in cases:
+            draw_m_avoiding(g, m)
+        assert max(map(len, routes)) >= 3
+        repeated = [owners for owners in routes if len(set(owners)) != len(owners)]
+        assert not repeated, repeated
 
     def test_no_worse_than_the_ascending_order(self, cubic_graphs_le8):
         # The ascending order, once the only default, is the search's first

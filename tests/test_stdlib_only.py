@@ -1,11 +1,13 @@
 """The library has no runtime dependencies: it imports only the standard
-library and itself. It carries no dead imports or private parameters."""
+library and itself. It carries no dead imports, private parameters or
+unreferenced private helpers."""
 
 from __future__ import annotations
 
 import ast
 import pathlib
 import sys
+from collections import Counter
 
 import snarkppm
 
@@ -80,5 +82,39 @@ def test_no_unused_imports_or_private_parameters():
         f"{path.relative_to(PACKAGE)}:{line}"
         for path in sorted(PACKAGE.rglob("*.py"))
         for line in _dead_names(path)
+    ]
+    assert not dead, dead
+
+
+def _references(tree: ast.AST) -> Counter[str]:
+    """How often the tree reads each name: as a bare name, an attribute or
+    an import."""
+    out: Counter[str] = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_private_helper_is_referenced():
+    # A private function, method or class (a leading underscore, not a
+    # dunder) must be read somewhere in the package outside its own body.
+    trees = {
+        path.relative_to(PACKAGE): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    used = sum(map(_references, trees.values()), Counter())
+    dead = [
+        f"{path}:{node.lineno}: {node.name}"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+        and used[node.name] == _references(node)[node.name]
     ]
     assert not dead, dead
