@@ -106,19 +106,20 @@ def _best_class(
     perfect_matchings_only: bool,
     deadline: float | None,
     start: tuple[str | None, PseudoMatching | None] = (None, None),
-    skip_perfect_matchings: bool = False,
 ) -> tuple[str | None, PseudoMatching | None]:
     """Best class over the PPM stream, raised from ``start``, and the first
     PPM that reached it; stops at planarizing.
 
-    With ``skip_perfect_matchings`` the perfect matchings are passed over:
-    the PM pass has classified them all into ``start``, and only a class
-    strictly above the best so far replaces it, so none of them would.
+    A ``start`` with a class is the PM pass's result, so the perfect
+    matchings are passed over: that pass has classified them all into
+    ``start``, and only a class strictly above the best so far replaces it,
+    so none of them would. A snark has a perfect matching (Petersen's
+    theorem), so its PM pass always ends with a class.
     """
     best, witness = start
     # n = 2 * (K2 count) + 4 * (claw count): a PPM with n/2 components has
     # no claw.
-    pm_size = g.n // 2 if skip_perfect_matchings else -1
+    pm_size = g.n // 2 if best is not None else -1
     for m in enumerate_ppms(g, perfect_matchings_only=perfect_matchings_only):
         if len(m.components) == pm_size:
             continue
@@ -178,7 +179,7 @@ def census_graph(
             verdict.best_pm_class = best[0]
         if mode in ("ppm", "both"):
             if best[0] != PLANARIZING:
-                best = _best_class(g, False, deadline, best, mode == "both")
+                best = _best_class(g, False, deadline, best)
             verdict.best_ppm_class = best[0]
     except (CensusTimeout, KMinorUndecidedError):
         verdict.undecided = True

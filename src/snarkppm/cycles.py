@@ -13,6 +13,7 @@ that uses no transition pair and whose closed trails are all cycles, and
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -510,27 +511,13 @@ def _reduce_level(
 
     extracted = _extract_off_cycle(cg, c1)
     level = ReductionLevel(g3, c, False, c1, tuple(extracted))
-    used: set[int] = set()
-    for cyc in extracted:
-        used |= cyc.edge_set()
-    kept_qedges = [qe for qe in range(cg.graph.m) if qe not in used]
-
-    deg = [0] * cg.graph.n
-    for qe in kept_qedges:
-        a, b = cg.graph.edges[qe]
-        deg[a] += 1
-        deg[b] += 1
-
-    if all(d in (0, 2) for d in deg):
-        residual = _edge_disjoint_cycles(cg.graph, kept_qedges)
-        if len(residual) != 1:
-            raise GraphError("residual trail is not a single cycle")
+    trail = _trail(cg, c1)
+    passes = Counter(q for _qe, q in trail)
+    if max(passes.values()) == 1:
+        residual = _edge_disjoint_cycles(cg.graph, [qe for qe, _q in trail])
         return [level], TAG_CYCLE, extracted + residual, cg
 
-    transits = _c1_transits(cg, c1)
-    gprime, tprime, chains, kept_vertices = _suppress(
-        cg.graph, kept_qedges, deg, transits
-    )
+    gprime, tprime, chains, kept_vertices = _suppress(trail, passes)
     assoc = associate(gprime, tprime)
     _assert_roundtrip(assoc, gprime)
 
@@ -568,22 +555,18 @@ def _extract_off_cycle(cg: ContractedGraph, c1: Cycle) -> list[Cycle]:
     return cycles
 
 
-def _c1_transits(cg: ContractedGraph, c1: Cycle) -> dict[int, list[frozenset[int]]]:
-    """Transition pairs induced on the quotient by the larger cycle's trail."""
+def _trail(cg: ContractedGraph, c1: Cycle) -> list[tuple[int, int]]:
+    """C1's closed trail in the quotient: in C1's order, each edge of C1
+    that is a quotient edge, with the quotient vertex that edge enters.
+
+    Between two trail edges C1 runs inside one component, so the trail
+    passes a quotient vertex once per such run. Each run starts on a vertex
+    of C, so it passes a K2 at most twice and a claw at most three times.
+    A trail that passes each vertex once is a single cycle.
+    """
     q_of_orig = {orig: qe for qe, orig in enumerate(cg.edge_origin)}
-    k = len(c1.edges)
-    non_m_positions = [i for i in range(k) if c1.edges[i] in q_of_orig]
-    transits: dict[int, list[frozenset[int]]] = {}
-    for idx, pos in enumerate(non_m_positions):
-        nxt = non_m_positions[(idx + 1) % len(non_m_positions)]
-        e_out = c1.edges[pos]
-        e_in = c1.edges[nxt]
-        mid_vertex = c1.vertices[(pos + 1) % k]
-        q = cg.component_of[mid_vertex]
-        transits.setdefault(q, []).append(
-            frozenset({q_of_orig[e_out], q_of_orig[e_in]})
-        )
-    return transits
+    steps = zip(c1.edges, c1.vertices[1:] + c1.vertices[:1])  # edge, vertex entered
+    return [(q_of_orig[e], cg.component_of[v]) for e, v in steps if e in q_of_orig]
 
 
 @dataclass(frozen=True)
@@ -595,71 +578,46 @@ class _Chain:
 
 
 def _suppress(
-    qg: Multigraph,
-    kept_qedges: list[int],
-    deg: list[int],
-    transits: dict[int, list[frozenset[int]]],
+    trail: list[tuple[int, int]], passes: Counter[int]
 ) -> tuple[Multigraph, TransitionSystem, list[_Chain], list[int]]:
-    """Suppress degree-2 vertices of the trail subgraph.
+    """Suppress the vertices that C1's trail passes once, and keep those it
+    passes two or three times (degree 4 or 6); there is at least one.
 
     Returns the suppressed multigraph (vertex i = kept_vertices[i]), its
     trail transition system, and per new edge the chain it replaces.
+
+    The closed trail is cut after each pass through a kept vertex, so its
+    pieces hold every trail edge, and each runs from one kept vertex through
+    suppressed ones to the next: a chain, and one new edge. Each pass pairs
+    the chain it ends with the chain it starts, in C1's order. A chain runs
+    from its least end, a (kept vertex, quotient edge) pair, and the chains
+    are numbered in the order of their least ends.
     """
-    kept_vertices = [v for v in range(qg.n) if deg[v] >= 4]
-    if not kept_vertices:
-        raise GraphError("nothing left after suppression")
-    for v in kept_vertices:
-        if deg[v] not in (4, 6):
-            raise GraphError(f"suppression left vertex {v} with degree {deg[v]}")
+    kept_vertices = sorted(q for q, n in passes.items() if n > 1)
     new_id = {v: i for i, v in enumerate(kept_vertices)}
-    incident: dict[int, list[int]] = {}
-    for qe in kept_qedges:
-        a, b = qg.edges[qe]
-        incident.setdefault(a, []).append(qe)
-        if b != a:
-            incident.setdefault(b, []).append(qe)
+    cuts = [i for i, (_qe, q) in enumerate(trail) if q in new_id]
+    pieces = [trail[cuts[-1] + 1:] + trail[:cuts[0] + 1]]  # piece j ends at cut j
+    pieces += [trail[a + 1:b + 1] for a, b in zip(cuts, cuts[1:])]
 
-    chains: list[_Chain] = []
-    chain_end_of: dict[tuple[int, int], int] = {}  # (end qedge, kept vertex) -> chain
-    new_edges: list[tuple[int, int]] = []
-    seen_q: set[int] = set()
-    for v in kept_vertices:
-        for qe in sorted(incident.get(v, [])):
-            if qe in seen_q:
-                continue
-            a, b = qg.edges[qe]
-            if a == b:
-                # A kept quotient loop stays a loop chain of length 1.
-                seen_q.add(qe)
-                cid = len(new_edges)
-                new_edges.append((new_id[v], new_id[v]))
-                chains.append(_Chain((qe,), (), v, v))
-                chain_end_of[(qe, v)] = cid
-                continue
-            chain_edges = [qe]
-            interior: list[int] = []
-            cur = qg.other_end(qe, v)
-            e = qe
-            while deg[cur] == 2:
-                interior.append(cur)
-                e = next(x for x in incident[cur] if x != e)
-                cur = qg.other_end(e, cur)
-                chain_edges.append(e)
-            seen_q.update(chain_edges)
-            cid = len(new_edges)
-            new_edges.append((new_id[v], new_id[cur]))
-            chains.append(_Chain(tuple(chain_edges), tuple(interior), v, cur))
-            chain_end_of[(chain_edges[0], v)] = cid
-            chain_end_of[(chain_edges[-1], cur)] = cid
-    if seen_q != set(kept_qedges):
-        raise GraphError("trail subgraph has a component without kept vertices")
-    gprime = Multigraph(len(kept_vertices), new_edges)
+    runs = []
+    for j, piece in enumerate(pieces):
+        u, w = pieces[j - 1][-1][1], piece[-1][1]
+        qedges = tuple(qe for qe, _q in piece)
+        interior = tuple(q for _qe, q in piece[:-1])
+        if (w, qedges[-1]) < (u, qedges[0]):
+            qedges, interior, u, w = qedges[::-1], interior[::-1], w, u
+        runs.append(_Chain(qedges, interior, u, w))
+    order = sorted(range(len(runs)), key=lambda j: (runs[j].q_from, runs[j].qedges[0]))
+    chains = [runs[j] for j in order]
+    chain_id = {j: cid for cid, j in enumerate(order)}
+    gprime = Multigraph(
+        len(kept_vertices), [(new_id[ch.q_from], new_id[ch.q_to]) for ch in chains]
+    )
 
-    pair_lists: list[list[frozenset[int]]] = [[] for _ in range(gprime.n)]
-    for v in kept_vertices:
-        for pair in transits.get(v, []):
-            mapped = frozenset(chain_end_of[(qe, v)] for qe in pair)
-            pair_lists[new_id[v]].append(mapped)
+    pair_lists: list[list[frozenset[int]]] = [[] for _ in kept_vertices]
+    for j, piece in enumerate(pieces):
+        nxt = chain_id[(j + 1) % len(pieces)]
+        pair_lists[new_id[piece[-1][1]]].append(frozenset({chain_id[j], nxt}))
     return gprime, TransitionSystem(tuple(tuple(p) for p in pair_lists)), chains, kept_vertices
 
 

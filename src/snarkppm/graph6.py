@@ -16,7 +16,7 @@ class Graph6Error(GraphError):
     """Malformed graph6 input; message names the offending byte offset."""
 
 
-def parse_graph6(line: str, cap: int = VERTEX_CAP) -> Multigraph:
+def parse_graph6(line: str) -> Multigraph:
     """Decode one graph6 line into a Multigraph.
 
     Edges come out in row-major upper-triangle order: (0,1), (0,2), ...,
@@ -27,17 +27,22 @@ def parse_graph6(line: str, cap: int = VERTEX_CAP) -> Multigraph:
         s = s[len(_HEADER):]
     if not s:
         raise Graph6Error("empty graph6 line (byte offset 0)")
-    data = s.encode("ascii", errors="strict") if _is_ascii(s) else None
-    if data is None:
-        raise Graph6Error("non-ASCII byte in graph6 line (byte offset 0)")
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        # Every character before the first non-ASCII one is one byte.
+        raise Graph6Error(
+            f"non-ASCII byte in graph6 line (byte offset {exc.start})"
+        ) from None
     for off, byte in enumerate(data):
         if not 63 <= byte <= 126:
             raise Graph6Error(f"invalid graph6 byte {byte} at byte offset {off}")
 
     n, pos = _decode_n(data)
-    if n > cap:
+    if n > VERTEX_CAP:
         raise Graph6Error(
-            f"vertex count {n} exceeds cap {cap} (header ends at byte offset {pos})"
+            f"vertex count {n} exceeds cap {VERTEX_CAP}"
+            f" (header ends at byte offset {pos})"
         )
 
     nbits = n * (n - 1) // 2
@@ -94,14 +99,6 @@ def write_graph6(g: Multigraph) -> str:
     for shift in range(6 * (nbytes - 1), -1, -6):
         out.append(((bits >> shift) & 63) + 63)
     return bytes(out).decode("ascii")
-
-
-def _is_ascii(s: str) -> bool:
-    try:
-        s.encode("ascii")
-        return True
-    except UnicodeEncodeError:
-        return False
 
 
 def _decode_n(data: bytes) -> tuple[int, int]:

@@ -200,7 +200,11 @@ class TestGraph6:
         with pytest.raises(Graph6Error, match="byte offset"):
             parse_graph6("D?{" + chr(20))
         with pytest.raises(Graph6Error, match="cap"):
-            parse_graph6(write_graph6(Multigraph(100, [])), cap=64)
+            parse_graph6("~?A@")  # a 129-vertex header, with no data bytes
+        with pytest.raises(Graph6Error, match=r"non-ASCII .*byte offset 2\)"):
+            parse_graph6("D?\u00e9")
+        with pytest.raises(Graph6Error, match=r"non-ASCII .*byte offset 0\)"):
+            parse_graph6("\u00e9")
 
     def test_three_byte_vertex_count(self):
         g = Multigraph(80, [(0, 79)])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 import named
@@ -13,11 +15,14 @@ from snarkppm import (
     TransitionSystem,
     associate,
     are_isomorphic,
+    blanusa_snark,
     contract,
     cycle_from_vertices,
     enumerate_ppms,
     eulerian_trail_transitions,
     find_ccd,
+    find_dominating_cycles,
+    flower_snark,
     is_dominating,
     petersen,
     ppm_from_dominating_cycle,
@@ -169,6 +174,32 @@ class TestSabidussiReduce:
                 )
         # Stuck reductions surface as candidates rather than fail; none expected here.
         assert stuck == []
+
+    def test_traces_are_pinned(self, cubic_graphs_le8):
+        # One digest over whole traces: every dominating cycle of the small
+        # cubics and of Petersen, and the first 10 of B18^1, B18^2 and J5.
+        # These reach quotient-loop chains, closed chains through suppressed
+        # vertices and kept vertices of degree 6, in 205 suppressions.
+        graphs = [(CubicGraph(g), None) for g in cubic_graphs_le8]
+        graphs.append((petersen().graph, None))
+        for inst in (blanusa_snark(2, 1), blanusa_snark(2, 2), flower_snark(5)):
+            graphs.append((inst.graph, 10))
+        digest = hashlib.sha256()
+        count = 0
+        for g, limit in graphs:
+            for cyc in find_dominating_cycles(g, limit=limit):
+                trace = sabidussi_reduce(g, cyc)
+                levels = [
+                    (lv.stable, lv.chosen_c1, lv.extracted, lv.graph3.graph.edges, lv.cycle)
+                    for lv in trace.levels
+                ]
+                key = repr((trace.tag, levels, trace.decomposition))
+                digest.update((key + "\n").encode())
+                count += 1
+        assert count == 136
+        assert digest.hexdigest() == (
+            "a36154d7532a06464ab739d39bfec64f10aa117be959b0b45e416f3444972bc4"
+        )
 
     def test_requires_dominating_cycle(self):
         g = CubicGraph(named.pentagonal_prism())
