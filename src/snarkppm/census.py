@@ -237,10 +237,8 @@ def run_census(text: str, mode: str = "both", workers: int = 1) -> CensusReport:
     if mode == "both":
         for row in ordered:
             row.check_invariants()
-    girths = [v.girth for v in verdicts] or [0]
-    return CensusReport(
-        ordered, verdicts, non_snarks, min(girths) if verdicts else None, complete
-    )
+    min_girth = min((v.girth for v in verdicts), default=None)
+    return CensusReport(ordered, verdicts, non_snarks, min_girth, complete)
 
 
 def write_details(report: CensusReport, directory: str) -> None:

@@ -26,6 +26,15 @@ in ascending order, with a dict of first halves that grows as i rises. So
 every hit is a c-set with XOR 0, found once; a set is built only on a hit.
 The lists of halves are built once for all sizes.
 
+Leaf-vertex rule: let v have at least 2 edges in a zero-XOR c-set S and
+at most one edge end outside it (a loop has two). Were S a cyclic bond
+delta(A), v in A, then v would have an edge f in A, as A = {v} has no
+cycle, and be a leaf of G[A]. A - v is then connected with A's cycles,
+B + v connected with B's, and delta(A - v), S less v's edges plus f, a
+cyclic bond of size at most c - 1. Such sets, the trivial cuts of a cubic
+graph among them, are dropped in the join, unbuilt, at each size up to
+that of the first bond found, below which there is none to lose.
+
 Component count from the rank: the zero-XOR subsets of S are the cuts
 delta(X) for X a union of components of G - S, 2^(c-1) of them for c
 components, so c = |S| - rank(labels of S) + 1. A zero-XOR S that leaves
@@ -62,22 +71,34 @@ def cyclic_cuts_up_to(g: Multigraph, max_size: int) -> Iterator[frozenset[int]]:
     nondecreasing size: an edge cut delta(X) whose two sides are connected
     and each contain a cycle. Every cyclic cut contains a cyclic bond, so a
     smallest cyclic cut comes first. Raises GraphError at once for
-    max_size above 6 or a disconnected graph."""
+    max_size above 6 or a disconnected graph.
+
+    A set S with a vertex v that has 2 or more edges in S and one edge end
+    (a loop has two) or none outside it is no smallest cyclic bond: v's
+    side would be {v}, with no cycle, or delta(side - v) a smaller cyclic
+    bond. So such sets are skipped until the first bond is found."""
     if max_size > 6:
         raise GraphError(f"max_size={max_size} above the supported 6")
     if not g.is_connected():
         raise GraphError("cyclic edge connectivity needs a connected graph")
     if g.n == 0:
         return iter(())
+    return _cyclic_bonds(g, max_size)
+
+
+def _cyclic_bonds(g: Multigraph, max_size: int) -> Iterator[frozenset[int]]:
+    """The search of ``cyclic_cuts_up_to`` once its input is checked."""
     labels = _cycle_labels(g)
     heads: list[list] = [[(0, ())]]  # _xor_combos lists, shared by all sizes
     tails: list[list] = [[(0, ())]]
-    return (
-        cut
-        for size in range(1, max_size + 1)
-        for cut in _zero_xor_sets(labels, size, heads, tails)
-        if _is_cyclic_bond(g, labels, cut)
-    )
+    full = [max(2, d - 1) for d in g.degrees()]  # cut edges that make a leaf
+    found = False
+    for size in range(1, max_size + 1):
+        leaf = None if found else (g.edges, full)
+        for cut in _zero_xor_sets(labels, size, heads, tails, leaf):
+            if _is_cyclic_bond(g, labels, cut):
+                found = True
+                yield cut
 
 
 def _cycle_labels(g: Multigraph) -> list[int]:
@@ -107,7 +128,7 @@ def _cycle_labels(g: Multigraph) -> list[int]:
 
 
 def _zero_xor_sets(
-    labels: list[int], size: int, heads: list[list], tails: list[list]
+    labels: list[int], size: int, heads: list[list], tails: list[list], leaf=None
 ) -> Iterator[frozenset[int]]:
     """Every edge set of the given size whose labels XOR to 0, each once.
 
@@ -121,7 +142,8 @@ def _zero_xor_sets(
     enter it. Either way every hit is a valid set. XORs are carried from
     prefix to combination (``_xor_combos``), and a set is built only on a
     hit. ``heads`` and ``tails`` hold the combination lists of the edges in
-    ascending and in descending order, shared by all sizes."""
+    ascending and in descending order, shared by all sizes. A hit that
+    ``leaf``, (edge ends, full), drops by ``_has_leaf`` is never built."""
     low, rest = size // 2, size - size // 2 - 1
     last = len(labels) - 1
     firsts = _xor_combos(heads, labels, range(last + 1), low)
@@ -150,7 +172,21 @@ def _zero_xor_sets(
             for x, half in probed[: probed_at(i)]:
                 if x ^ label in halves:
                     for other in halves[x ^ label]:
-                        yield frozenset((*half, i, *other))
+                        cut = (*half, i, *other)
+                        if not (leaf and _has_leaf(cut, *leaf)):
+                            yield frozenset(cut)
+
+
+def _has_leaf(cut: tuple[int, ...], ends: tuple, full: list[int]) -> bool:
+    """Whether some vertex v is an end of full[v] edges of the cut: at
+    least 2, and all of its edge ends but at most one."""
+    hits: dict[int, int] = {}
+    for e in cut:
+        for v in ends[e]:
+            k = hits[v] = hits.get(v, 0) + 1
+            if k == full[v]:
+                return True
+    return False
 
 
 def _xor_combos(

@@ -17,6 +17,7 @@ from snarkppm import (
     Multigraph,
     blanusa_snark,
     coloring_is_proper,
+    connectivity,
     cyclic_cuts_up_to,
     cyclic_edge_connectivity_at_least,
     find_3_edge_coloring,
@@ -215,6 +216,75 @@ class TestCyclicConnectivity:
         assert any(a == b for g, _k in cases for a, b in g.edges)
         for g, k in cases:
             _agrees_with_brute_force(g, k)
+
+    def test_agrees_with_brute_force_at_every_size_on_random_multigraphs(self):
+        # Configuration-model multigraphs with degrees 2-4, loops and
+        # parallel edges, at every max_size: the leaf-vertex rule must spare
+        # looped vertices, and stop after the size of the first bond.
+        rng = random.Random(2612)
+        graphs = []
+        while len(graphs) < 60:
+            n = rng.randint(1, 10)
+            degrees = [rng.choice((2, 3, 4)) for _ in range(n)]
+            degrees[0] += sum(degrees) % 2
+            stubs = [v for v in range(n) for _ in range(degrees[v])]
+            rng.shuffle(stubs)
+            g = Multigraph(n, zip(stubs[::2], stubs[1::2]))
+            if g.is_connected():
+                graphs.append(g)
+        assert sum(any(a == b for a, b in g.edges) for g in graphs) > 30
+        sizes = set()
+        for g in graphs:
+            for k in range(1, 7):
+                sizes |= {len(c) for c in _agrees_with_brute_force(g, k)}
+        assert sizes == set(range(1, 7))
+
+    def test_leaf_rule_spares_a_looped_vertex(self):
+        # Petersen with edge 0 subdivided by a vertex v that carries a
+        # loop: v's side is {v}, cyclic by the loop, so v's two other edges
+        # are a cyclic bond although v has one edge outside them.
+        p = named.petersen_standard()
+        (a, b), v = p.edges[0], p.n
+        g = Multigraph(v + 1, [(a, v), *p.edges[1:], (v, b), (v, v)])
+        assert list(cyclic_cuts_up_to(g, 2)) == [frozenset({0, p.m})]
+
+    @pytest.mark.parametrize(
+        "make, max_size, calls",
+        [
+            (lambda: _colorable_flower(6), 5, 0),
+            (lambda: flower_snark(7), 5, 0),
+            (petersen, 3, 0),
+            (lambda: blanusa_snark(2, 1), 3, 0),
+            (lambda: blanusa_snark(2, 2), 3, 0),
+            (lambda: flower_snark(5), 3, 0),
+            (petersen, 5, 6),
+            (lambda: goldberg_snark(5), 5, 16),
+        ],
+        ids=["j6", "j7", "petersen_3", "b18_1_3", "b18_2_3", "j5_3", "petersen", "g5"],
+    )
+    def test_leaf_rule_drops_the_trivial_cuts(
+        self, make, max_size, calls, bench_relabel, monkeypatch
+    ):
+        # Vertex stars, edge cuts and two-path cuts never reach the flood
+        # while no smaller bond is known: on these graphs only the
+        # nontrivial cuts do (Petersen's six pentagon cuts, G5's 16 bonds).
+        # The count is an invariant; the member and 20 relabelings of it.
+        inst = make()
+        rng = random.Random(2613)
+        graphs = [inst.graph.graph]
+        graphs += [bench_relabel(inst.graph, inst.designated_ppm, rng)[0].graph for _ in range(20)]
+        count = [0]
+        bond = connectivity._is_cyclic_bond
+
+        def counted(*args):
+            count[0] += 1
+            return bond(*args)
+
+        monkeypatch.setattr(connectivity, "_is_cyclic_bond", counted)
+        for g in graphs:
+            count[0] = 0
+            list(cyclic_cuts_up_to(g, max_size))
+            assert count[0] == calls
 
     def test_bond_path_matches_oracle_on_every_zero_xor_set(self):
         # The join's own path on configuration-model multigraphs (loops,
