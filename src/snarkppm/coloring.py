@@ -1,4 +1,34 @@
-"""Proper 3-edge-coloring search for cubic graphs, and the snark predicate."""
+"""Proper 3-edge-coloring search for cubic graphs, and the snark predicate.
+
+``find_3_edge_coloring`` and ``is_snark`` are two readings of one search,
+``_color``. Its direct search (``_search``) runs first, under a budget of
+``_NODE_BUDGET`` branching nodes. A graph that needs more is reduced at
+its cyclic 4-cuts (``_reduce``), from one listing of its cyclic cuts up to
+size 4. A small side of such a cut is a 4-pole, and by the Parity Lemma
+(Isaacs 1975) its four dangling edges show the colors of one of the types
+aaaa, aabb, abab and abba. The side's color set, the types that its
+colorings show, comes from four searches with fixed boundary colors.
+Replacing the side by a smaller 4-pole with the same color set keeps
+colorability (Nedela & Skoviera, "Decompositions and reductions of
+snarks", JGT 1996): two edges realise {aaaa, p}, a dipole realises two
+types without aaaa, and an empty color set means there is no coloring.
+The reduced graph is searched to the end; a coloring of it is lifted back
+by a search on each replaced side with its boundary colors fixed, in
+reverse order. If no side reduces, the direct search runs again without a
+budget.
+
+The snark test colors before it cuts. A coloring found in the budget run
+answers False with no cut search; a budget run that ends with no coloring
+leaves only the question whether the graph is cyclically 4-edge-connected.
+When the budget trips, the one cut listing also guards the snark test: a
+cut of size at most 3 answers False before any reduction or unbudgeted
+search runs.
+
+Each graph's search tables (``_tables``) are built once and shared by
+every search of it: the budget run and the unbudgeted restart of the
+input, the four color-set searches of a pole and that pole's lift, and
+the one search of the reduced graph.
+"""
 
 from __future__ import annotations
 
@@ -37,7 +67,10 @@ def coloring_is_proper(g: Multigraph, coloring: EdgeColoring) -> bool:
 # Branching nodes the direct search may spend before the 4-cut reduction.
 # Over 300 relabelings each (as the benchmark relabels), Petersen, B18, J6,
 # J7 and J8 need at most 69; over 60, the criterion-7 star of Petersen
-# needs 59-69 and those of the Blanusa snarks 501-4655.
+# needs 59-69 and those of the Blanusa snarks 501-4655. The snark test
+# spends this budget before it looks for cuts, so a graph with a cyclic
+# cut of size at most 3 costs at most one budget run more than a test
+# that lists its cuts first.
 _NODE_BUDGET = 128
 # The largest side of a cyclic 4-cut that is replaced; the Blanusa blocks
 # that the star construction puts at the crossings have 8 vertices.
@@ -58,30 +91,11 @@ _PAIRS = {"aabb": ((0, 1), (2, 3)), "abab": ((0, 2), (1, 3)), "abba": ((0, 3), (
 def find_3_edge_coloring(g: CubicGraph) -> EdgeColoring | None:
     """Exhaustive search for a proper 3-edge-coloring; None if there is none.
 
-    The direct search (``_search``) runs first, under a budget of
-    ``_NODE_BUDGET`` branching nodes. A graph that needs more is reduced at
-    its cyclic 4-cuts (``_reduce``). A small side of such a cut is a 4-pole,
-    and by the Parity Lemma (Isaacs 1975) its four dangling edges show the
-    colors of one of the types aaaa, aabb, abab and abba. The side's color
-    set, the types that its colorings show, comes from four searches with
-    fixed boundary colors. Replacing the side by a smaller 4-pole with the
-    same color set keeps colorability (Nedela & Skoviera, "Decompositions
-    and reductions of snarks", JGT 1996): two edges realise {aaaa, p}, a
-    dipole realises two types without aaaa, and an empty color set means
-    there is no coloring. The reduced graph is searched to the end; a
-    coloring of it is lifted back by a search on each replaced side with
-    its boundary colors fixed, in reverse order. If no side reduces, the
-    direct search runs again without a budget.
+    The search is ``_color``'s, the one that ``is_snark`` reads too: a
+    budget run, then the reduction at the cyclic 4-cuts of one cut listing,
+    with one set of search tables per graph (see the module docstring).
     """
-    mg = g.graph
-    if mg.m == 0:
-        return EdgeColoring({})
-    if any(a == b for a, b in mg.edges):
-        return None
-    try:
-        bits = _search(mg, _symmetry_break(mg), _NODE_BUDGET)
-    except _OutOfBudget:
-        bits = _reduce(mg)
+    bits, _listed = _color(g.graph)
     if bits is None:
         return None
     return EdgeColoring({e: b.bit_length() for e, b in enumerate(bits)})
@@ -91,17 +105,81 @@ class _OutOfBudget(Exception):
     """The direct search used up its node budget."""
 
 
+class _SmallCut(Exception):
+    """The snark test's cut listing met a cyclic cut of size at most 3."""
+
+
+def _color(mg: Multigraph, snark: bool = False) -> tuple[list[int] | None, bool]:
+    """The color bit of every edge of mg, or None if mg has no proper
+    3-edge-coloring; and whether mg's cyclic cuts up to size 4 were listed.
+
+    The direct search runs under ``_NODE_BUDGET`` branching nodes. If that
+    trips, the cuts are listed once and the reduction runs on their small
+    sides; the graph's search tables serve both its runs. With ``snark``,
+    the listing raises ``_SmallCut`` at a cut of size at most 3, as a
+    graph with one is no snark whatever its colorings."""
+    if mg.m == 0:
+        return [], False
+    if any(a == b for a, b in mg.edges):
+        return None, False
+    touch = _tables(mg)
+    try:
+        return _search(touch, _symmetry_break(mg), _NODE_BUDGET), False
+    except _OutOfBudget:
+        pass
+    cuts = []
+    if mg.is_connected():
+        for cut in cyclic_cuts_up_to(mg, 4):
+            if snark and len(cut) < 4:
+                raise _SmallCut
+            cuts.append(cut)
+    return _reduce(mg, touch, _small_sides(mg, cuts)), True
+
+
 def _symmetry_break(mg: Multigraph) -> list[tuple[int, int]]:
     """The three edges at vertex 0 take colors 1, 2, 3."""
     return list(zip(sorted(mg.incident_edges(0)), (1, 2, 4)))
 
 
+_Tables = list[list[tuple[int, int, int, tuple[int, ...]]]]
+
+
+def _tables(mg: Multigraph) -> _Tables:
+    """The tables of ``_search`` on mg, built once per graph: for each edge
+    f, the tuple (h, bit of h, mask and tuple of the edges at h's far end
+    from f) of each edge h sharing a vertex with f, by increasing h. The
+    mask is 0 when h is parallel to f and so has no far end, or when the
+    far end does not have degree 3."""
+    at = [mg.incident_edges(v) for v in range(mg.n)]
+    star = [sum(1 << e for e in inc) for inc in at]
+    touch: _Tables = []
+    for f, ends in enumerate(mg.edges):
+        row = []
+        rest = (star[ends[0]] | star[ends[1]]) & ~(1 << f)
+        while rest:
+            hb = rest & -rest
+            rest ^= hb
+            h = hb.bit_length() - 1
+            a, b = mg.edges[h]
+            if a in ends and b in ends:
+                row.append((h, hb, 0, ()))
+                continue
+            w = b if a in ends else a
+            if len(at[w]) == 3:
+                row.append((h, hb, star[w], at[w]))
+            else:
+                row.append((h, hb, 0, ()))
+        touch.append(row)
+    return touch
+
+
 def _search(
-    mg: Multigraph, fixed: list[tuple[int, int]], budget: float = math.inf
+    touch: _Tables, fixed: list[tuple[int, int]], budget: float = math.inf
 ) -> list[int] | None:
-    """Backtracking search for a proper coloring that gives each edge in
-    ``fixed`` its color bit (1, 2 or 4). Returns the color bit of every
-    edge, or None; raises ``_OutOfBudget`` after ``budget`` branching nodes.
+    """Backtracking search for a proper coloring, on the graph whose
+    ``_tables`` are ``touch``, that gives each edge in ``fixed`` its color
+    bit (1, 2 or 4). Returns the color bit of every edge, or None; raises
+    ``_OutOfBudget`` after ``budget`` branching nodes.
 
     Edge sets are int bitmasks and each edge keeps a 3-bit mask of the
     colors it may still take. Coloring an edge removes its color from the
@@ -116,37 +194,9 @@ def _search(
 
     The search branches on the least-indexed edge among those with two
     colors left, or with three if none has two. So its time depends on the
-    edge labels, which is why ``find_3_edge_coloring`` gives it a budget.
+    edge labels, which is why ``_color`` gives it a budget.
     """
-    m = mg.m
-    at = [mg.incident_edges(v) for v in range(mg.n)]
-    nbmask = [0] * m
-    for inc in at:
-        for e in inc:
-            for f in inc:
-                if f != e:
-                    nbmask[e] |= 1 << f
-    # touch[f]: for each edge h sharing a vertex with f, the tuple (h, bit
-    # of h, mask and tuple of the edges at h's far end from f); the mask is
-    # 0 when h is parallel to f and so has no far end, or when the far end
-    # does not have degree 3.
-    touch: list[list[tuple[int, int, int, tuple[int, ...]]]] = []
-    for f in range(m):
-        ends = mg.edges[f]
-        row = []
-        rest = nbmask[f]
-        while rest:
-            hb = rest & -rest
-            rest ^= hb
-            h = hb.bit_length() - 1
-            a, b = mg.edges[h]
-            far = () if a in ends and b in ends else at[b if a in ends else a]
-            if len(far) == 3:
-                row.append((h, hb, sum(1 << x for x in far), far))
-            else:
-                row.append((h, hb, 0, ()))
-        touch.append(row)
-
+    m = len(touch)
     avail = [0b111] * m  # bit k set: color k + 1 still possible
     color = [0] * m  # the color bit of a colored edge, else 0
     unc = (1 << m) - 1  # uncolored edges
@@ -250,9 +300,10 @@ def _search(
         del solve  # the closure refers to itself: free it without the GC
 
 
-def _reduce(mg: Multigraph) -> list[int] | None:
-    """Color mg by replacing small sides of its cyclic 4-cuts (see
-    ``find_3_edge_coloring``): the color bit of every edge, or None.
+def _reduce(mg: Multigraph, touch: _Tables, sides: list[frozenset[int]]) -> list[int] | None:
+    """Color mg, whose ``_tables`` are ``touch``, by replacing the
+    ``_small_sides`` of its cyclic 4-cuts (see the module docstring): the
+    color bit of every edge, or None.
 
     The sides are replaced one by one in the current graph, an edge-id map
     to ends. A two-edge gadget keeps the id of the first dangling edge of
@@ -261,13 +312,15 @@ def _reduce(mg: Multigraph) -> list[int] | None:
     lift leaves behind."""
     ends = dict(enumerate(mg.edges))
     n, m = mg.n, mg.m  # the next free vertex and edge ids
-    # (pole, internal ids, dangling ids, the pairs a two-edge gadget joined)
-    done: list[tuple[Multigraph, list[int], list[int], tuple]] = []
-    for side in _small_sides(mg):
+    # (pole tables, internal ids, dangling ids, the pairs a two-edge gadget
+    # joined); the pole's tables serve its color set and its lift
+    done: list[tuple[_Tables, list[int], list[int], tuple]] = []
+    for side in sides:
         pole, internal, boundary = _pole(ends, side)
         if len(boundary) != 4:
             continue  # an earlier gadget joined two of its dangling edges
-        kinds = _color_set(pole)
+        pole_touch = _tables(pole)
+        kinds = _color_set(pole_touch)
         if not kinds:
             return None
         outer = [ends[e][0] if ends[e][1] in side else ends[e][1] for e in boundary]
@@ -290,9 +343,9 @@ def _reduce(mg: Multigraph) -> list[int] | None:
             continue
         for e in internal:
             del ends[e]
-        done.append((pole, internal, boundary, joined))
+        done.append((pole_touch, internal, boundary, joined))
     if not done:
-        return _search(mg, _symmetry_break(mg))
+        return _search(touch, _symmetry_break(mg))
 
     ids = sorted(ends)
     kept = sorted({v for e in ids for v in ends[e]})
@@ -300,30 +353,30 @@ def _reduce(mg: Multigraph) -> list[int] | None:
     reduced = Multigraph(len(kept), [(index[a], index[b]) for a, b in map(ends.get, ids)])
     if any(a == b for a, b in reduced.edges):
         return None
-    bits = _search(reduced, _symmetry_break(reduced))
+    bits = _search(_tables(reduced), _symmetry_break(reduced))
     if bits is None:
         return None
     col = dict(zip(ids, bits))
-    for pole, internal, boundary, joined in reversed(done):
+    for pole_touch, internal, boundary, joined in reversed(done):
         for x, y in joined:
             col[boundary[y]] = col[boundary[x]]
         first = len(internal)
-        inside = _search(pole, [(first + j, col[e]) for j, e in enumerate(boundary)])
+        inside = _search(pole_touch, [(first + j, col[e]) for j, e in enumerate(boundary)])
         if inside is None:
             raise RuntimeError("a replaced side does not extend its gadget's coloring")
         col.update(zip(internal, inside))
     return [col[e] for e in range(mg.m)]
 
 
-def _small_sides(mg: Multigraph) -> list[frozenset[int]]:
+def _small_sides(mg: Multigraph, cuts: list[frozenset[int]]) -> list[frozenset[int]]:
     """Pairwise disjoint vertex sets of 4 to ``_SIDE_MAX`` vertices, each a
-    side of a cyclic 4-bond; smallest first, ties by their sorted vertices.
-    Each side of a bond is a component of G - S that all four edges of S
-    leave, so the two ends of one cut edge reach both sides."""
-    if not mg.is_connected():
-        return []
+    side of one of the cyclic 4-bonds in ``cuts`` (a listing of mg's
+    cyclic bonds, so of every size up to 4); smallest first, ties by their
+    sorted vertices. Each side of a bond is a component of G - S that all
+    four edges of S leave, so the two ends of one cut edge reach both
+    sides."""
     found = set()
-    for cut in cyclic_cuts_up_to(mg, 4):
+    for cut in cuts:
         if len(cut) == 4:
             for s in mg.edges[next(iter(cut))]:
                 side = _small_component(mg, cut, s)
@@ -380,14 +433,15 @@ def _pole(
     return Multigraph(len(side) + len(boundary), edges), internal, boundary
 
 
-def _color_set(pole: Multigraph) -> set[str]:
-    """The boundary types that extend to a coloring of a 4-pole whose last
-    four edges are its dangling ones."""
-    first = pole.m - 4
+def _color_set(touch: _Tables) -> set[str]:
+    """The boundary types that extend to a coloring of the 4-pole whose
+    ``_tables`` are ``touch`` and whose last four edges are its dangling
+    ones."""
+    first = len(touch) - 4
     return {
         kind
         for kind, bits in _TYPES.items()
-        if _search(pole, [(first + j, bit) for j, bit in enumerate(bits)]) is not None
+        if _search(touch, [(first + j, bit) for j, bit in enumerate(bits)]) is not None
     }
 
 
@@ -400,8 +454,20 @@ def check_snark_input(g: CubicGraph) -> None:
 
 
 def is_snark(g: CubicGraph) -> bool:
-    """Cyclically 4-edge-connected and not 3-edge-colorable (girth 4 allowed)."""
+    """Cyclically 4-edge-connected and not 3-edge-colorable (girth 4 allowed).
+
+    The coloring comes first (``_color``), so that one coloring rules a
+    graph out with no cut search. A budget run that ends with no coloring
+    leaves one question, ``cyclic_edge_connectivity_at_least(g, 4)``. A
+    tripped budget lists the cyclic cuts up to size 4 once: a cut of size
+    at most 3 answers False before any reduction or unbudgeted search, and
+    otherwise the 4-cuts of that listing feed the reduction.
+    """
     check_snark_input(g)
-    if not cyclic_edge_connectivity_at_least(g, 4):
+    try:
+        bits, listed = _color(g.graph, snark=True)
+    except _SmallCut:
         return False
-    return find_3_edge_coloring(g) is None
+    if bits is not None:
+        return False
+    return listed or cyclic_edge_connectivity_at_least(g, 4)

@@ -92,8 +92,13 @@ def _cyclic_bonds(g: Multigraph, max_size: int) -> Iterator[frozenset[int]]:
     heads: list[list] = [[(0, ())]]  # _xor_combos lists, shared by all sizes
     tails: list[list] = [[(0, ())]]
     full = [max(2, d - 1) for d in g.degrees()]  # cut edges that make a leaf
+    distinct = len(set(labels)) == len(labels)
     found = False
     for size in range(1, max_size + 1):
+        # One edge XORs to 0 only if its label is 0 (a bridge), and two
+        # edges only if their labels are equal.
+        if size == 1 and 0 not in labels or size == 2 and distinct:
+            continue
         leaf = None if found else (g.edges, full)
         for cut in _zero_xor_sets(labels, size, heads, tails, leaf):
             if _is_cyclic_bond(g, labels, cut):

@@ -16,6 +16,7 @@ from snarkppm import (
     GraphError,
     Multigraph,
     blanusa_snark,
+    coloring,
     coloring_is_proper,
     connectivity,
     cyclic_cuts_up_to,
@@ -173,6 +174,156 @@ class TestSnark:
             is_snark(theta)
 
 
+def _random_simple_cubic(rng: random.Random, sizes) -> Multigraph:
+    """A configuration-model cubic graph, drawn again until it is simple
+    and connected."""
+    while True:
+        n = rng.choice(sizes)
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        g = Multigraph(n, zip(stubs[::2], stubs[1::2]))
+        if CubicGraph(g).simple and g.is_connected():
+            return g
+
+
+def _snark_by_definition(g: Multigraph) -> bool:
+    return not oracles.brute_cyclic_cuts(g, 3) and not oracles.brute_3_edge_colorable(g)
+
+
+# The rings of ``_ring``: (piece, copies).
+RINGS = {
+    "g5_x3": (lambda: goldberg_snark(5).graph.graph, 3),
+    "j13_x2": (lambda: flower_snark(13).graph.graph, 2),
+    "petersen_x12": (named.petersen_standard, 12),
+}
+
+
+class TestSnarkOrder:
+    """``is_snark`` colours before it cuts: the verdicts against the
+    definition, and the cut listings and reductions that each path makes."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Calls of the cut search (``connectivity._cyclic_bonds``, behind
+        every listing) and of the reduction (``coloring._reduce``)."""
+        made = {"bonds": 0, "reduce": 0}
+        for module, name, key in (
+            (connectivity, "_cyclic_bonds", "bonds"),
+            (coloring, "_reduce", "reduce"),
+        ):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _key=key):
+                made[_key] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        return made
+
+    def test_agrees_with_the_definition(self, cubic_graphs_le8):
+        # No cyclic cut of size <= 3 and no 3-edge-colouring, by the
+        # oracles: on the cubic corpus, the named graphs and 120 random
+        # simple connected cubic graphs on 10-16 vertices.
+        cases = [g for g in cubic_graphs_le8 if CubicGraph(g).simple]
+        cases += [make() for make in named.EQUIVALENCE_CORPUS.values()]
+        rng = random.Random(2727)
+        cases += [_random_simple_cubic(rng, (10, 12, 14, 16)) for _ in range(120)]
+        verdicts = set()
+        for g in cases:
+            verdict = is_snark(CubicGraph(g))
+            assert verdict == _snark_by_definition(g), g.edges
+            verdicts.add((verdict, oracles.brute_3_edge_colorable(g)))
+        # Snarks, colourable graphs and uncolourable non-snarks all occur.
+        assert verdicts == {(True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    def test_rings_end_after_one_listing(self, name, counts):
+        # Each ring has cyclic 2-cuts (two ring edges, checked by the
+        # oracle), so by the definition it is no snark; it has no
+        # colouring either. One listing settles it, with no reduction,
+        # well under 0.1 s.
+        piece, copies = RINGS[name]
+        g = _ring(piece(), copies)
+        # Each copy's last edge joins it to the next copy.
+        step = g.m // copies
+        assert oracles.leaves_two_cyclic_components(g, {step - 1, 2 * step - 1})
+        start = time.perf_counter()
+        assert not is_snark(CubicGraph(g))
+        assert time.perf_counter() - start < 0.1
+        assert counts == {"bonds": 1, "reduce": 0}
+        assert find_3_edge_coloring(CubicGraph(g)) is None
+
+    def test_colourable_graphs_make_no_cut_search(self, counts, bench_relabel):
+        # A colouring found in the budget run answers the snark test: J6,
+        # J8 and the cube, 20 benchmark relabelings of each, and random
+        # colourable graphs.
+        graphs = []
+        rng = random.Random(2728)
+        for inst in (_colorable_flower(6), _colorable_flower(8)):
+            graphs.append(inst.graph.graph)
+            graphs += [
+                bench_relabel(inst.graph, inst.designated_ppm, rng)[0].graph for _ in range(20)
+            ]
+        graphs.append(named.cube())
+        while len(graphs) < 100:
+            g = _random_simple_cubic(rng, (10, 12, 14, 16, 20, 24))
+            if oracles.brute_3_edge_colorable(g):
+                graphs.append(g)
+        for g in graphs:
+            assert not is_snark(CubicGraph(g))
+        assert counts == {"bonds": 0, "reduce": 0}
+
+    @pytest.mark.parametrize(
+        "make, listings, reductions",
+        [
+            (lambda: petersen().graph, 1, 0),
+            (lambda: blanusa_snark(2, 1).graph, 1, 0),
+            (lambda: blanusa_snark(2, 2).graph, 1, 0),
+            (lambda: goldberg_snark(5).graph, 1, 1),
+            (lambda: _star(blanusa_snark(2, 1)), 1, 1),
+            (lambda: _star(blanusa_snark(2, 2)), 1, 1),
+        ],
+        ids=["petersen", "b18_1", "b18_2", "g5", "b18_1_star", "b18_2_star"],
+    )
+    def test_snarks_list_their_cuts_once(self, make, listings, reductions, counts):
+        # A budget run that ends with no colouring leaves one connectivity
+        # test; a tripped budget (G5 and the B18 stars) lists the cuts
+        # once, and that listing feeds the reduction.
+        g = make()
+        counts.update(bonds=0, reduce=0)  # the star construction lists cuts too
+        assert is_snark(g)
+        assert counts == {"bonds": listings, "reduce": reductions}
+
+    def test_one_set_of_tables_per_graph(self, monkeypatch):
+        # Every search of one graph shares its tables. G5 (no cyclic 4-cut):
+        # the budget run and the restart. The B18 star's 4 replaced sides:
+        # 4 colour-set searches each, then the reduced graph. The 7 sides of
+        # J6's star, which is colourable: 4 colour-set searches and a lift.
+        built: list[list] = []
+        searched: list[list] = []
+        tables, search = coloring._tables, coloring._search
+
+        def counted_tables(mg):
+            built.append(tables(mg))
+            return built[-1]
+
+        def counted_search(touch, *args):
+            searched.append(touch)
+            return search(touch, *args)
+
+        monkeypatch.setattr(coloring, "_tables", counted_tables)
+        monkeypatch.setattr(coloring, "_search", counted_search)
+        for g, colourable, uses in (
+            (goldberg_snark(5).graph, False, [2]),
+            (_star(blanusa_snark(2, 1)), False, [1, 4, 4, 4, 4, 1]),
+            (_star(_colorable_flower(6)), True, [1, 5, 5, 5, 5, 5, 5, 5, 1]),
+        ):
+            built.clear()
+            searched.clear()
+            assert (find_3_edge_coloring(g) is not None) == colourable
+            assert [sum(t is touch for t in searched) for touch in built] == uses
+
+
 class TestCyclicConnectivity:
     def test_petersen_levels(self):
         g = CubicGraph(named.petersen_standard())
@@ -238,6 +389,33 @@ class TestCyclicConnectivity:
             for k in range(1, 7):
                 sizes |= {len(c) for c in _agrees_with_brute_force(g, k)}
         assert sizes == set(range(1, 7))
+
+    def test_sizes_without_a_zero_xor_set_are_skipped(self, monkeypatch):
+        # Size 1 needs a label 0 (a bridge) and size 2 two equal labels (a
+        # 2-edge cut); the join runs at no other size below 3. Two K4s with
+        # a subdivided edge, joined by a bridge, have both; the Petersen
+        # ring has 2-cuts and no bridge; Petersen has neither.
+        k4_sub = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 4), (3, 4)]
+        bridged = Multigraph(
+            10, k4_sub + [(a + 5, b + 5) for a, b in k4_sub] + [(4, 9)]
+        )
+        sizes: list[int] = []
+        join = connectivity._zero_xor_sets
+
+        def counted(labels, size, *args):
+            sizes.append(size)
+            return join(labels, size, *args)
+
+        monkeypatch.setattr(connectivity, "_zero_xor_sets", counted)
+        for g, want in (
+            (bridged, [1, 2, 3, 4]),
+            (_ring(named.petersen_standard(), 2), [2, 3, 4]),
+            (named.petersen_standard(), [3, 4]),
+        ):
+            sizes.clear()
+            list(cyclic_cuts_up_to(g, 4))
+            assert sizes == want
+            _agrees_with_brute_force(g, 4)
 
     def test_leaf_rule_spares_a_looped_vertex(self):
         # Petersen with edge 0 subdivided by a vertex v that carries a
@@ -482,6 +660,10 @@ def _agrees_with_brute_force(g: Multigraph, k: int) -> set[frozenset[int]]:
     assert set(cuts) == {c for c in brute if oracles.is_bond(g, set(c))}, g.edges
     assert all(any(cut <= c for cut in cuts) for c in brute), g.edges
     return brute
+
+
+def _star(inst: FamilyInstance) -> CubicGraph:
+    return star_construction(inst.graph, inst.designated_ppm).graph
 
 
 def _colorable_flower(k: int) -> FamilyInstance:
